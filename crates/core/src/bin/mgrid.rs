@@ -14,23 +14,26 @@
 //!
 //! Every `run` prints a per-category metrics summary (scheduler quanta,
 //! network traffic, vsocket and MPI activity) after the result line.
-//! `--trace-out <path>` additionally enables the typed-event tracer and
-//! streams one JSON object per line to the file as events are recorded;
-//! `--trace-cap <n>` bounds the in-memory ring (default 65536, oldest
-//! evicted first — evictions show up as the `trace.dropped` counter in
-//! the summary, but every event still reaches the stream).
+//! Either output option below turns on the span store — the one
+//! per-occurrence recorder — and adds `trace.spans` plus per-kind
+//! `trace.events.<cat>.<name>` tallies of it to the summary.
 //!
-//! `--profile-out <path>` enables causal span recording and, after the
-//! run, prints the virtual-time profiler attribution table and the
-//! critical-path report, then writes a Chrome trace-event JSON file
-//! loadable at <https://ui.perfetto.dev> (see `docs/OBSERVABILITY.md`).
+//! `--trace-out <path>` writes every recorded span and mark as one JSON
+//! object per line once the run ends.
+//!
+//! `--profile-out <path>` prints the virtual-time profiler attribution
+//! table and the critical-path report, then writes a Chrome trace-event
+//! JSON file loadable at <https://ui.perfetto.dev> (see
+//! `docs/OBSERVABILITY.md`).
 //!
 //! `MGRID_SHARDS=<n>` routes the run through the deterministic sharded
 //! engine (the workload shard plus idle companions); all tables and the
-//! trace stream are byte-identical to the sequential run, and the
+//! trace file are byte-identical to the sequential run, and the
 //! Perfetto export additionally gains per-shard epoch lanes.
 
+use std::collections::BTreeMap;
 use std::future::Future;
+use std::io::Write as _;
 use std::pin::Pin;
 
 use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
@@ -39,7 +42,6 @@ use microgrid::desim::metrics::MetricsSnapshot;
 use microgrid::desim::obs::Obs;
 use microgrid::desim::shard::{run_sharded_stats, EpochStats, ShardHandle, ShardPlan, ShardRun};
 use microgrid::desim::time::SimDuration;
-use microgrid::desim::trace::TraceEvent;
 use microgrid::desim::{perfetto, profile, Simulation, SpanSnapshot};
 use microgrid::mpi::MpiParams;
 use microgrid::{plan_rate, presets, GridConfig, VirtualGrid};
@@ -90,7 +92,7 @@ fn usage() -> ! {
          \x20 rate <config.json|preset>\n\
          \x20 run <config.json|preset> <EP|BT|LU|MG|IS|CG|FT|SP> <S|A> [--baseline]\n\
          \x20 run <config.json|preset> wavetoy <grid-edge> [--baseline]\n\
-         \x20 run options: --trace-out <path> [--trace-cap <n>] --profile-out <path>"
+         \x20 run options: --trace-out <path> --profile-out <path>"
     );
     std::process::exit(2);
 }
@@ -99,17 +101,21 @@ fn usage() -> ! {
 #[derive(Clone)]
 struct ObsOpts {
     trace_out: Option<String>,
-    trace_cap: usize,
     profile_out: Option<String>,
 }
 
-/// Strip `--trace-out`/`--trace-cap`/`--profile-out` from `args`,
-/// returning the rest.
+impl ObsOpts {
+    /// Whether the run records spans (either output needs them).
+    fn spans(&self) -> bool {
+        self.trace_out.is_some() || self.profile_out.is_some()
+    }
+}
+
+/// Strip `--trace-out`/`--profile-out` from `args`, returning the rest.
 fn parse_obs_opts(args: &[String]) -> (Vec<String>, ObsOpts) {
     let mut rest = Vec::new();
     let mut opts = ObsOpts {
         trace_out: None,
-        trace_cap: 65536,
         profile_out: None,
     };
     let mut i = 0;
@@ -118,13 +124,6 @@ fn parse_obs_opts(args: &[String]) -> (Vec<String>, ObsOpts) {
             "--trace-out" => {
                 let Some(path) = args.get(i + 1) else { usage() };
                 opts.trace_out = Some(path.clone());
-                i += 2;
-            }
-            "--trace-cap" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                opts.trace_cap = n;
                 i += 2;
             }
             "--profile-out" => {
@@ -148,40 +147,32 @@ fn parse_obs_opts(args: &[String]) -> (Vec<String>, ObsOpts) {
 struct ObsCapture {
     metrics: MetricsSnapshot,
     spans: SpanSnapshot,
-    events: Vec<TraceEvent>,
-    streamed: u64,
-    dropped: u64,
-    sink_error: Option<String>,
 }
 
 /// Seal the observability layer and snapshot it. Called as the root
 /// workload's final act, while still inside the simulation: sealing
-/// first stops the tracer (flushing the stream sink) and the span store,
-/// so nothing recorded after this instant — by daemons the sharded
-/// engine may still run until its epoch horizon — can reach the capture.
+/// first stops the span store, so nothing recorded after this instant —
+/// by daemons the sharded engine may still run until its epoch horizon
+/// — can reach the capture.
 fn capture_obs(obs: &Obs, opts: &ObsOpts) -> ObsCapture {
     obs.seal();
-    let tracer = obs.tracer();
-    let dropped = tracer.dropped();
-    if dropped > 0 || opts.trace_out.is_some() {
-        obs.metrics().count("trace.dropped", dropped);
-    }
-    for (kind, n) in tracer.kind_counts() {
-        obs.metrics().count(&format!("trace.events.{kind}"), n);
-    }
     let spans = obs.spans().snapshot();
-    if opts.profile_out.is_some() {
-        obs.metrics().count("trace.spans", spans.spans.len() as u64);
+    if opts.spans() {
+        let m = obs.metrics();
+        m.count("trace.spans", spans.spans.len() as u64);
         if spans.dropped > 0 {
-            obs.metrics().count("trace.spans_dropped", spans.dropped);
+            m.count("trace.spans_dropped", spans.dropped);
+        }
+        let mut kinds: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+        for s in &spans.spans {
+            *kinds.entry((s.cat.name(), s.name)).or_default() += 1;
+        }
+        for ((cat, name), n) in kinds {
+            m.count(&format!("trace.events.{cat}.{name}"), n);
         }
     }
     ObsCapture {
         metrics: obs.metrics().snapshot(),
-        events: tracer.events(),
-        streamed: tracer.streamed(),
-        dropped,
-        sink_error: tracer.sink_error(),
         spans,
     }
 }
@@ -215,24 +206,12 @@ fn execute<R: Send + 'static>(
     opts: &ObsOpts,
     work: Work<R>,
 ) -> (Vec<R>, ObsCapture, EpochStats) {
-    let sink_file = opts.trace_out.as_ref().map(|path| {
-        std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create trace file {path}: {e}");
-            std::process::exit(2);
-        })
-    });
     let shards = shard_count();
     let opts2 = opts.clone();
     let workload: Factory<R> = Box::new(move |_h| {
         let sim = Simulation::new(seed);
         let obs = sim.obs().clone();
-        if opts2.trace_out.is_some() {
-            obs.enable_tracing(opts2.trace_cap);
-            if let Some(f) = sink_file {
-                obs.tracer().set_sink(Box::new(std::io::BufWriter::new(f)));
-            }
-        }
-        if opts2.profile_out.is_some() {
+        if opts2.spans() {
             obs.enable_spans();
         }
         let out = std::rc::Rc::new(std::cell::RefCell::new(None));
@@ -268,18 +247,25 @@ fn execute<R: Send + 'static>(
     (results, capture, stats)
 }
 
-/// After a run: report the trace stream, print the profiler attribution
-/// and critical-path tables plus write the Perfetto export (when
-/// profiling), and print the metrics summary.
+/// Write the sealed span snapshot as JSON lines to `path`.
+fn write_trace(spans: &SpanSnapshot, path: &str) -> std::io::Result<()> {
+    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+    spans.write_json_lines(&mut w)?;
+    w.flush()
+}
+
+/// After a run: write the JSON-lines trace, print the profiler
+/// attribution and critical-path tables plus write the Perfetto export
+/// (when profiling), and print the metrics summary.
 fn report_run(capture: &ObsCapture, stats: &EpochStats, opts: &ObsOpts) {
     if let Some(path) = &opts.trace_out {
-        if let Some(e) = &capture.sink_error {
-            eprintln!("trace stream to {path} failed: {e}");
+        if let Err(e) = write_trace(&capture.spans, path) {
+            eprintln!("cannot write trace to {path}: {e}");
             std::process::exit(1);
         }
         println!(
-            "trace: {} events streamed to {path} ({} dropped from ring)",
-            capture.streamed, capture.dropped
+            "trace: {} spans and marks written to {path}",
+            capture.spans.spans.len()
         );
     }
     if let Some(path) = &opts.profile_out {
@@ -289,7 +275,7 @@ fn report_run(capture: &ObsCapture, stats: &EpochStats, opts: &ObsOpts) {
         let cp = profile::critical_path(&capture.spans);
         println!("-- critical path --");
         print!("{}", cp.to_table());
-        let json = perfetto::export(&capture.spans, &capture.events, &stats.records);
+        let json = perfetto::export(&capture.spans, &stats.records);
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write profile to {path}: {e}");
             std::process::exit(1);

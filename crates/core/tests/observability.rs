@@ -1,10 +1,10 @@
 //! End-to-end observability: a small grid run must leave footprints in
 //! every layer — scheduler quanta, network packets, memory registrations —
-//! both as metrics counters and as typed trace events, and the trace must
-//! encode to valid JSON lines. The causal span layer gets the same
-//! treatment: spans and flows from every instrumented subsystem, plus
-//! byte-identical profiler and critical-path reports across same-seed
-//! runs and across the sequential vs sharded engines.
+//! both as metrics counters and as spans and marks, and the span store
+//! must encode to valid JSON lines. The causal layer also yields flows
+//! from every instrumented subsystem, plus byte-identical profiler and
+//! critical-path reports across same-seed runs and across the sequential
+//! vs sharded engines.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -56,48 +56,50 @@ fn small_grid_run_populates_metrics() {
 
 #[test]
 fn small_grid_run_traces_all_layers_as_valid_json_lines() {
-    let mut sim = Simulation::new(11);
-    sim.obs().enable_tracing(1 << 20);
-    run_small_grid(&mut sim);
-    let tracer = sim.obs().tracer();
-
-    assert!(!tracer.events_in(Category::Sched).is_empty());
-    assert!(!tracer.events_in(Category::Net).is_empty());
-    assert!(!tracer.events_in(Category::Mem).is_empty());
-    assert!(!tracer.events_in(Category::Vsock).is_empty());
-    assert!(!tracer.events_in(Category::Mpi).is_empty());
+    let lines = || {
+        let mut sim = Simulation::new(11);
+        sim.obs().enable_spans();
+        run_small_grid(&mut sim);
+        let mut buf = Vec::new();
+        let snap = sim.obs().spans().snapshot();
+        snap.write_json_lines(&mut buf).expect("write to memory");
+        assert_eq!(snap.dropped, 0);
+        String::from_utf8(buf).expect("utf-8 trace")
+    };
+    let text = lines();
 
     // Every line is a standalone JSON object with the envelope fields.
     #[derive(serde::Deserialize)]
     struct Envelope {
         t_ns: u64,
         cat: String,
-        event: String,
+        name: String,
+        track: String,
+        lane: String,
     }
     let mut last_t = 0;
-    for ev in tracer.events() {
-        let line = ev.to_json_line();
+    let mut cats = std::collections::BTreeSet::new();
+    for line in text.lines() {
         let v: Envelope =
-            serde_json::from_str(&line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
+            serde_json::from_str(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
         assert!(v.t_ns >= last_t, "timestamps must be nondecreasing");
         last_t = v.t_ns;
-        assert!(!v.cat.is_empty(), "{line}");
-        assert!(!v.event.is_empty(), "{line}");
+        assert!(!v.name.is_empty(), "{line}");
+        assert!(!v.track.is_empty() && !v.lane.is_empty(), "{line}");
+        if v.cat == "mem" {
+            assert!(
+                line.ends_with(",\"mark\":true}"),
+                "mem records are marks: {line}"
+            );
+        }
+        cats.insert(v.cat);
+    }
+    for want in ["sched", "net", "vsock", "mpi", "mem"] {
+        assert!(cats.contains(want), "missing category {want}: {cats:?}");
     }
 
-    // Determinism: the same seed yields the same event stream.
-    let mut sim2 = Simulation::new(11);
-    sim2.obs().enable_tracing(1 << 20);
-    run_small_grid(&mut sim2);
-    let lines: Vec<String> = tracer.events().iter().map(|e| e.to_json_line()).collect();
-    let lines2: Vec<String> = sim2
-        .obs()
-        .tracer()
-        .events()
-        .iter()
-        .map(|e| e.to_json_line())
-        .collect();
-    assert_eq!(lines, lines2);
+    // Determinism: the same seed yields the same lines.
+    assert_eq!(text, lines());
 }
 
 #[test]

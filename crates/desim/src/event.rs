@@ -1,15 +1,12 @@
-//! Typed simulator events.
+//! Instrumentation categories.
 //!
-//! Every instrumented subsystem reports what happened through one closed
-//! [`Event`] enum instead of free-form strings, so consumers (tests, the
-//! `--trace-out` JSON-lines sink, the metrics summary) can match on
-//! structure instead of parsing messages. Each event belongs to a
-//! [`Category`], the unit at which traces are filtered and metrics are
-//! summarized.
+//! Every span and mark in the [`crate::span::SpanStore`] belongs to a
+//! [`Category`]: the subsystem it came from, and the unit at which the
+//! profiler buckets virtual time and the metrics summary tallies records.
 
 use std::fmt;
 
-/// The subsystem an [`Event`] originates from.
+/// The subsystem a span or mark originates from.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum Category {
     /// MicroGrid CPU scheduler daemon (Fig 4 quantum loop).
@@ -27,16 +24,6 @@ pub enum Category {
 }
 
 impl Category {
-    /// All categories, in summary display order.
-    pub const ALL: [Category; 6] = [
-        Category::Sched,
-        Category::Net,
-        Category::Vsock,
-        Category::Mem,
-        Category::Mpi,
-        Category::Fault,
-    ];
-
     /// Stable lowercase name used in trace output and metric keys.
     pub const fn name(self) -> &'static str {
         match self {
@@ -56,339 +43,18 @@ impl fmt::Display for Category {
     }
 }
 
-/// One structured simulator event.
-///
-/// Byte and duration fields are plain integers (`u64` nanoseconds for
-/// spans) so events serialize compactly and compare exactly in tests.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
-    /// The scheduler daemon granted a quantum to a job (Fig 4: SIGCONT).
-    QuantumGrant {
-        /// Virtual host the scheduler runs on.
-        host: String,
-        /// Process name of the granted job.
-        job: String,
-    },
-    /// The scheduler daemon preempted the running job (Fig 4: SIGSTOP),
-    /// charging it the elapsed wall time.
-    QuantumPreempt {
-        /// Virtual host the scheduler runs on.
-        host: String,
-        /// Process name of the preempted job.
-        job: String,
-        /// Wall (simulated physical) nanoseconds charged for the quantum.
-        wall_ns: u64,
-    },
-    /// A packet was accepted into a link's FIFO queue.
-    PacketEnqueue {
-        /// Directed link index.
-        link: usize,
-        /// Packet size in bytes.
-        bytes: u64,
-        /// Queue occupancy in bytes after the enqueue.
-        queued_bytes: u64,
-    },
-    /// A packet left a link's queue and began transmission.
-    PacketDequeue {
-        /// Directed link index.
-        link: usize,
-        /// Packet size in bytes.
-        bytes: u64,
-    },
-    /// A packet arrived at a full queue and was dropped.
-    PacketDrop {
-        /// Directed link index.
-        link: usize,
-        /// Packet size in bytes.
-        bytes: u64,
-    },
-    /// An application sent a datagram through a virtual socket.
-    VsockSend {
-        /// Sending virtual host.
-        src: String,
-        /// Destination virtual host.
-        dst: String,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// An application received a datagram from a virtual socket.
-    VsockRecv {
-        /// Receiving virtual host.
-        host: String,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// A memory allocation succeeded against a host's cap.
-    MemAlloc {
-        /// Virtual host owning the memory cap.
-        host: String,
-        /// Bytes allocated.
-        bytes: u64,
-        /// Total bytes in use after the allocation.
-        in_use: u64,
-    },
-    /// A memory request exceeded the host cap and was denied (the paper's
-    /// Fig 5 boundary).
-    MemDeny {
-        /// Virtual host owning the memory cap.
-        host: String,
-        /// Bytes requested.
-        requested: u64,
-        /// Bytes already in use.
-        in_use: u64,
-        /// The configured cap.
-        limit: u64,
-    },
-    /// An MPI collective started on the root/calling rank.
-    CollectiveStart {
-        /// Operation name (`"barrier"`, `"bcast"`, …).
-        op: &'static str,
-        /// Communicator size.
-        ranks: usize,
-    },
-    /// An MPI collective completed on the root/calling rank.
-    CollectiveEnd {
-        /// Operation name (`"barrier"`, `"bcast"`, …).
-        op: &'static str,
-        /// Communicator size.
-        ranks: usize,
-        /// Virtual-time nanoseconds the collective took.
-        elapsed_ns: u64,
-    },
-    /// A hop-by-hop route walk revisited more nodes than the topology
-    /// holds — a routing loop (should be impossible with consistent
-    /// first-hop tables; emitted instead of failing silently).
-    RouteLoop {
-        /// Source node index of the walk.
-        src: usize,
-        /// Destination node index of the walk.
-        dst: usize,
-        /// Node index the walk stood at when the loop was detected.
-        at: usize,
-    },
-    /// The fault injector fired one scripted fault.
-    FaultInjected {
-        /// Stable fault-kind name (`"link_down"`, `"host_crash"`, …).
-        fault: &'static str,
-        /// Target description (link endpoints, host name, or cut).
-        target: String,
-    },
-    /// An MPI receive or rendezvous wait exceeded its configured timeout,
-    /// surfacing a suspected rank failure.
-    RankTimeout {
-        /// The waiting rank.
-        rank: u64,
-        /// Nanoseconds waited before giving up.
-        waited_ns: u64,
-    },
-}
-
-impl Event {
-    /// The subsystem this event belongs to.
-    pub const fn category(&self) -> Category {
-        match self {
-            Event::QuantumGrant { .. } | Event::QuantumPreempt { .. } => Category::Sched,
-            Event::PacketEnqueue { .. }
-            | Event::PacketDequeue { .. }
-            | Event::PacketDrop { .. }
-            | Event::RouteLoop { .. } => Category::Net,
-            Event::VsockSend { .. } | Event::VsockRecv { .. } => Category::Vsock,
-            Event::MemAlloc { .. } | Event::MemDeny { .. } => Category::Mem,
-            Event::CollectiveStart { .. }
-            | Event::CollectiveEnd { .. }
-            | Event::RankTimeout { .. } => Category::Mpi,
-            Event::FaultInjected { .. } => Category::Fault,
-        }
-    }
-
-    /// Stable snake_case name of the event kind (the `"event"` field of
-    /// the JSON-lines encoding).
-    pub const fn kind(&self) -> &'static str {
-        match self {
-            Event::QuantumGrant { .. } => "quantum_grant",
-            Event::QuantumPreempt { .. } => "quantum_preempt",
-            Event::PacketEnqueue { .. } => "packet_enqueue",
-            Event::PacketDequeue { .. } => "packet_dequeue",
-            Event::PacketDrop { .. } => "packet_drop",
-            Event::RouteLoop { .. } => "route_loop",
-            Event::VsockSend { .. } => "vsock_send",
-            Event::VsockRecv { .. } => "vsock_recv",
-            Event::MemAlloc { .. } => "mem_alloc",
-            Event::MemDeny { .. } => "mem_deny",
-            Event::CollectiveStart { .. } => "collective_start",
-            Event::CollectiveEnd { .. } => "collective_end",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::RankTimeout { .. } => "rank_timeout",
-        }
-    }
-
-    /// Encode as one JSON object (no trailing newline) with the shape
-    /// `{"t_ns":…,"cat":"…","event":"…",…fields}`.
-    ///
-    /// Hand-rolled rather than serde-derived so the encoding is identical
-    /// under any serde implementation and needs no derive support for
-    /// `&'static str` fields.
-    pub fn to_json_line(&self, t_ns: u64) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"t_ns\":");
-        out.push_str(&t_ns.to_string());
-        out.push_str(",\"cat\":\"");
-        out.push_str(self.category().name());
-        out.push_str("\",\"event\":\"");
-        out.push_str(self.kind());
-        out.push('"');
-        let mut field_str = |key: &str, val: &str| {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":\"");
-            for c in val.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        };
-        // Write string fields through the escaping closure first, then
-        // reuse `out` for numeric fields below.
-        match self {
-            Event::QuantumGrant { host, job } | Event::QuantumPreempt { host, job, .. } => {
-                field_str("host", host);
-                field_str("job", job);
-            }
-            Event::VsockSend { src, dst, .. } => {
-                field_str("src", src);
-                field_str("dst", dst);
-            }
-            Event::VsockRecv { host, .. } => field_str("host", host),
-            Event::MemAlloc { host, .. } | Event::MemDeny { host, .. } => field_str("host", host),
-            Event::CollectiveStart { op, .. } | Event::CollectiveEnd { op, .. } => {
-                field_str("op", op)
-            }
-            Event::FaultInjected { fault, target } => {
-                field_str("fault", fault);
-                field_str("target", target);
-            }
-            _ => {}
-        }
-        let mut field_num = |key: &str, val: u64| {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
-            out.push_str(&val.to_string());
-        };
-        match self {
-            Event::QuantumGrant { .. } => {}
-            Event::QuantumPreempt { wall_ns, .. } => field_num("wall_ns", *wall_ns),
-            Event::PacketEnqueue {
-                link,
-                bytes,
-                queued_bytes,
-            } => {
-                field_num("link", *link as u64);
-                field_num("bytes", *bytes);
-                field_num("queued_bytes", *queued_bytes);
-            }
-            Event::PacketDequeue { link, bytes } | Event::PacketDrop { link, bytes } => {
-                field_num("link", *link as u64);
-                field_num("bytes", *bytes);
-            }
-            Event::VsockSend { bytes, .. } | Event::VsockRecv { bytes, .. } => {
-                field_num("bytes", *bytes)
-            }
-            Event::MemAlloc { bytes, in_use, .. } => {
-                field_num("bytes", *bytes);
-                field_num("in_use", *in_use);
-            }
-            Event::MemDeny {
-                requested,
-                in_use,
-                limit,
-                ..
-            } => {
-                field_num("requested", *requested);
-                field_num("in_use", *in_use);
-                field_num("limit", *limit);
-            }
-            Event::CollectiveStart { ranks, .. } => field_num("ranks", *ranks as u64),
-            Event::CollectiveEnd {
-                ranks, elapsed_ns, ..
-            } => {
-                field_num("ranks", *ranks as u64);
-                field_num("elapsed_ns", *elapsed_ns);
-            }
-            Event::RouteLoop { src, dst, at } => {
-                field_num("src", *src as u64);
-                field_num("dst", *dst as u64);
-                field_num("at", *at as u64);
-            }
-            Event::FaultInjected { .. } => {}
-            Event::RankTimeout { rank, waited_ns } => {
-                field_num("rank", *rank);
-                field_num("waited_ns", *waited_ns);
-            }
-        }
-        out.push('}');
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn categories_are_stable() {
-        assert_eq!(
-            Event::QuantumGrant {
-                host: "h".into(),
-                job: "j".into()
-            }
-            .category(),
-            Category::Sched
-        );
-        assert_eq!(
-            Event::PacketDrop { link: 0, bytes: 1 }.category(),
-            Category::Net
-        );
-        assert_eq!(
-            Event::MemDeny {
-                host: "h".into(),
-                requested: 1,
-                in_use: 0,
-                limit: 1
-            }
-            .category(),
-            Category::Mem
-        );
-        assert_eq!(Category::Mpi.name(), "mpi");
-    }
-
-    #[test]
-    fn json_line_shape() {
-        let line = Event::QuantumPreempt {
-            host: "alpha0".into(),
-            job: "mg.A".into(),
-            wall_ns: 10_000_000,
-        }
-        .to_json_line(42);
-        assert_eq!(
-            line,
-            "{\"t_ns\":42,\"cat\":\"sched\",\"event\":\"quantum_preempt\",\
-             \"host\":\"alpha0\",\"job\":\"mg.A\",\"wall_ns\":10000000}"
-        );
-    }
-
-    #[test]
-    fn json_line_escapes_strings() {
-        let line = Event::VsockRecv {
-            host: "a\"b\\c".into(),
-            bytes: 3,
-        }
-        .to_json_line(0);
-        assert!(line.contains("a\\\"b\\\\c"));
+    fn names_are_stable() {
+        use Category::*;
+        let names: Vec<&str> = [Sched, Net, Vsock, Mem, Mpi, Fault]
+            .iter()
+            .map(|c| c.name())
+            .collect();
+        assert_eq!(names, ["sched", "net", "vsock", "mem", "mpi", "fault"]);
+        assert_eq!(Category::Mpi.to_string(), "mpi");
     }
 }

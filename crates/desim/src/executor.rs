@@ -270,10 +270,10 @@ impl Simulation {
         self.inner.now.get()
     }
 
-    /// This simulation's observability surface (tracer + metrics).
+    /// This simulation's observability surface (spans + metrics).
     ///
-    /// Tracing starts disabled; call [`Obs::enable_tracing`] to capture
-    /// typed events. Metrics are always collected.
+    /// Spans start disabled; call [`Obs::enable_spans`] to record spans
+    /// and marks. Metrics are always collected.
     pub fn obs(&self) -> &Obs {
         &self.inner.obs
     }

@@ -15,9 +15,9 @@
 //!   configurable simulation rate — the paper's `gettimeofday`
 //!   virtualization (§2.3).
 //! * Every simulation carries an observability surface ([`obs::Obs`]):
-//!   a typed-[`event::Event`] tracer and a [`metrics::Metrics`] registry
-//!   that instrumented components write to through the free functions in
-//!   [`obs`].
+//!   a causal [`span::SpanStore`] of spans and instant marks, and a
+//!   [`metrics::Metrics`] registry, that instrumented components write
+//!   to through the free functions in [`obs`].
 //!
 //! ## Example
 //!
@@ -49,10 +49,9 @@ pub mod span;
 pub mod sync;
 pub mod time;
 pub mod timeout;
-pub mod trace;
 pub mod vclock;
 
-pub use event::{Category, Event};
+pub use event::Category;
 pub use executor::{
     fork_rng, now, sleep, sleep_until, spawn, spawn_daemon, with_rng, yield_now, JoinHandle,
     Simulation, TaskId,
@@ -63,4 +62,3 @@ pub use obs::Obs;
 pub use rng::{SharedRng, SimRng};
 pub use span::{FlowEdge, SpanId, SpanRecord, SpanSnapshot, SpanStore, SpanStr};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};

@@ -1,49 +1,42 @@
 //! Observability handle and in-simulation instrumentation functions.
 //!
-//! Every [`crate::Simulation`] owns an [`Obs`]: a typed-event [`Tracer`]
-//! (disabled by default) plus an always-on [`Metrics`] registry.
+//! Every [`crate::Simulation`] owns an [`Obs`]: one recorder — the
+//! causal [`SpanStore`] of spans and instant marks, disabled by default —
+//! plus an always-on [`Metrics`] registry of counters and histograms.
 //! Instrumented code anywhere in the workspace calls the free functions
-//! in this module — [`emit`], [`count`], [`observe`], [`gauge_max`] —
-//! which resolve the current simulation through the executor's
-//! thread-local context.
+//! in this module — [`span_begin`]/[`span_end`], [`mark`], [`count`],
+//! [`observe`], [`gauge_max`] — which resolve the current simulation
+//! through the executor's thread-local context.
 //!
 //! Two properties make these safe on hot paths:
 //!
 //! - **No-op outside a simulation.** Code like the memory manager is
 //!   also used from plain unit tests with no executor running; the free
 //!   functions silently do nothing there instead of panicking.
-//! - **Lazy event construction.** [`emit`] takes a closure, so the
-//!   `String` fields of an [`Event`] are never built unless the tracer
-//!   is actually enabled.
+//! - **Lazy attribute construction.** [`span_begin`] and [`mark`] take a
+//!   closure, so their `(track, lane, detail)` strings are never built
+//!   unless spans are actually recorded.
 
-use crate::event::{Category, Event};
+use crate::event::Category;
 use crate::executor::try_with_current;
 use crate::metrics::{Counter, HistogramHandle, Metrics};
 use crate::span::{SpanId, SpanStore, SpanStr};
-use crate::trace::Tracer;
 
-/// The observability surface of one simulation: a shared typed-event
-/// tracer, a causal span store, and a shared metrics registry.
+/// The observability surface of one simulation: a causal span store and
+/// a shared metrics registry.
 #[derive(Clone)]
 pub struct Obs {
-    tracer: Tracer,
     spans: SpanStore,
     metrics: Metrics,
 }
 
 impl Obs {
-    /// A fresh handle: tracing and spans disabled, metrics empty.
+    /// A fresh handle: spans disabled, metrics empty.
     pub fn new() -> Self {
         Obs {
-            tracer: Tracer::disabled(),
             spans: SpanStore::new(),
             metrics: Metrics::new(),
         }
-    }
-
-    /// The event tracer (disabled until given capacity and enabled).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The causal span store (disabled until [`Obs::enable_spans`]).
@@ -56,26 +49,18 @@ impl Obs {
         &self.metrics
     }
 
-    /// Convenience: give the tracer `capacity` and enable it.
-    pub fn enable_tracing(&self, capacity: usize) {
-        self.tracer.set_capacity(capacity);
-        self.tracer.set_enabled(true);
-    }
-
-    /// Turn on causal span recording.
+    /// Turn on span and mark recording — the only recording switch.
     pub fn enable_spans(&self) {
         self.spans.set_enabled(true);
     }
 
-    /// Freeze the tracer and span store in place.
+    /// Freeze the span store in place.
     ///
     /// Called at the instant a run's root workload completes, so any
     /// trailing daemon activity (the sharded engine may run a shard a
     /// little past root completion, to its epoch horizon) records
     /// nothing and sequential vs sharded output stays byte-identical.
     pub fn seal(&self) {
-        self.tracer.set_enabled(false);
-        self.tracer.flush_sink();
         self.spans.set_enabled(false);
     }
 }
@@ -86,15 +71,18 @@ impl Default for Obs {
     }
 }
 
-/// Record a typed event in the current simulation's tracer.
+/// Record an instant mark — a zero-length span for a rare fact with no
+/// interval of its own — in the current simulation's span store.
 ///
-/// The closure runs only if a simulation context exists *and* its tracer
-/// is enabled, so disabled tracing costs one thread-local read.
-pub fn emit(event: impl FnOnce() -> Event) {
+/// `f` returns `(track, lane, detail)` as for [`span_begin`] and runs
+/// only if a simulation context exists *and* spans are enabled, so a
+/// disabled mark costs one thread-local read.
+pub fn mark(cat: Category, name: &'static str, f: impl FnOnce() -> (SpanStr, SpanStr, SpanStr)) {
     try_with_current(|s| {
         let obs = s.obs();
-        if obs.tracer.is_enabled() {
-            obs.tracer.record(s.now(), event());
+        if obs.spans.is_enabled() {
+            let (track, lane, detail) = f();
+            obs.spans.mark(s.now(), cat, name, track, lane, detail);
         }
     });
 }
@@ -147,7 +135,7 @@ pub fn gauge_set(name: &str, value: f64) {
 /// `f` returns `(track, lane, detail)` — the virtual host row, the
 /// process/daemon row within it, and free-form detail — as
 /// [`SpanStr`]s, so hot call sites can precompute the triple once and
-/// clone reference bumps per span. Like [`emit`], the closure runs only
+/// clone reference bumps per span. Like [`mark`], the closure runs only
 /// when spans are actually recorded, so disabled spans never allocate.
 /// Returns [`SpanId::NONE`] (a universal no-op id) when disabled or
 /// outside a simulation.
@@ -218,7 +206,9 @@ mod tests {
     #[test]
     fn noop_outside_simulation() {
         // None of these may panic without a running executor.
-        emit(|| Event::PacketDrop { link: 1, bytes: 2 });
+        mark(Category::Mem, "mem_deny", || {
+            panic!("no simulation, no mark")
+        });
         count("net.drops", 1);
         observe("sched.quantum_ns", 5);
         gauge_max("net.peak", 1.0);
@@ -228,15 +218,20 @@ mod tests {
     #[test]
     fn records_into_current_simulation() {
         let mut sim = Simulation::new(1);
-        sim.obs().enable_tracing(16);
+        sim.obs().enable_spans();
         let obs = sim.obs().clone();
         sim.block_on(async {
-            emit(|| Event::PacketDrop { link: 3, bytes: 99 });
+            mark(Category::Net, "route_loop", || {
+                ("a".into(), "route".into(), "dst=3".into())
+            });
             count("net.drops", 1);
             count("net.drops", 1);
             observe("net.queue_ns", 123);
         });
-        assert_eq!(obs.tracer().events_in(Category::Net).len(), 1);
+        let snap = obs.spans().snapshot();
+        assert_eq!(snap.spans.len(), 1);
+        assert!(snap.spans[0].mark);
+        assert_eq!(&*snap.spans[0].detail, "dst=3");
         assert_eq!(obs.metrics().counter("net.drops"), 2);
         assert_eq!(obs.metrics().snapshot().histograms.len(), 1);
     }
@@ -272,17 +267,10 @@ mod tests {
             span_end(id);
             flow_out("msg", "a", "b", id);
             flow_in("msg", "a", "b", id);
+            mark(Category::Mem, "mem_alloc", || {
+                panic!("mark closure must not run while spans are disabled")
+            });
         });
         assert!(obs.spans().is_empty());
-    }
-
-    #[test]
-    fn disabled_tracer_skips_event_construction() {
-        let mut sim = Simulation::new(1);
-        let obs = sim.obs().clone();
-        sim.block_on(async {
-            emit(|| panic!("event closure must not run while tracing is disabled"));
-        });
-        assert!(obs.tracer().is_empty());
     }
 }

@@ -1,51 +1,30 @@
 //! Chrome trace-event / Perfetto JSON export.
 //!
-//! Renders a [`SpanSnapshot`] (plus optional flat events and
-//! shard-epoch records) into the Chrome trace-event JSON format that
+//! Renders a [`SpanSnapshot`] (plus optional shard-epoch records) into
+//! the Chrome trace-event JSON format that
 //! <https://ui.perfetto.dev> and `chrome://tracing` load directly:
 //!
 //! - every span track (virtual host) becomes a Perfetto *process* row
 //!   and every lane (grid process / daemon) a *thread* row under it,
-//!   with `"X"` complete events for the spans themselves;
+//!   with `"X"` complete events for the spans themselves and `"i"`
+//!   instant ticks for marks, each on its own host row;
 //! - resolved flow edges become `"s"`/`"f"` flow arrows from the
 //!   producing span to the consuming span;
-//! - flat [`TraceEvent`]s become `"i"` instant ticks on one lane per
-//!   [`Category`], under a dedicated `events` process;
 //! - [`EpochRecord`]s from the sharded engine become run/idle slices on
 //!   one lane per shard under a `shard-engine` process, making barrier
 //!   behaviour visually debuggable next to the causal spans.
 //!
-//! The output is hand-rolled (no serde), mirroring
-//! [`crate::event::Event::to_json_line`]: identical inputs produce byte-identical
-//! strings, which the golden-file test in `tests/perfetto.rs` pins.
+//! The output is hand-rolled (no serde), sharing its string escaper with
+//! [`crate::span::SpanSnapshot::write_json_lines`]: identical inputs produce
+//! byte-identical strings, which the golden-file test in
+//! `tests/perfetto.rs` pins.
 //! Timestamps are microseconds (the trace-event unit) formatted as
 //! exact `ns/1000` decimals with three fractional digits — no floats.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::event::Category;
 use crate::shard::EpochRecord;
-use crate::span::SpanSnapshot;
-use crate::trace::TraceEvent;
-
-/// Escape a string for a JSON value position (same rules as
-/// [`crate::event::Event::to_json_line`]'s `field_str`).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::span::{JsonStr, SpanSnapshot};
 
 /// Nanoseconds rendered as trace-event microseconds (`"12.345"`).
 fn ts_us(ns: u64) -> String {
@@ -54,10 +33,10 @@ fn ts_us(ns: u64) -> String {
 
 /// Build the complete Chrome trace-event JSON document.
 ///
-/// `events` adds instant ticks (pass `&[]` to skip), `epochs` adds the
-/// shard-engine lanes (pass `&[]` for a sequential run). The result is
-/// a pure function of its inputs: same snapshot, same bytes.
-pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]) -> String {
+/// `epochs` adds the shard-engine lanes (pass `&[]` for a sequential
+/// run). The result is a pure function of its inputs: same snapshot,
+/// same bytes.
+pub fn export(snap: &SpanSnapshot, epochs: &[EpochRecord]) -> String {
     // Deterministic pid/tid assignment: tracks sorted by name, lanes
     // sorted within each track, both 1-based.
     let mut tracks: BTreeMap<&str, BTreeMap<&str, usize>> = BTreeMap::new();
@@ -74,8 +53,7 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
             *tid = t + 1;
         }
     }
-    let events_pid = tracks.len() + 1;
-    let engine_pid = tracks.len() + 2;
+    let engine_pid = tracks.len() + 1;
 
     let mut recs: Vec<String> = Vec::new();
 
@@ -84,24 +62,12 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
         let pid = pid_of[track];
         recs.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
-            esc(track)
+            JsonStr(track)
         ));
         for (lane, tid) in lanes {
             recs.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-                esc(lane)
-            ));
-        }
-    }
-    if !events.is_empty() {
-        recs.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{events_pid},\"args\":{{\"name\":\"events\"}}}}"
-        ));
-        for (t, cat) in Category::ALL.iter().enumerate() {
-            recs.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{events_pid},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-                t + 1,
-                cat.name()
+                JsonStr(lane)
             ));
         }
     }
@@ -118,7 +84,7 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
         }
     }
 
-    // Span slices, in record order.
+    // Span slices and mark ticks, in record order.
     for s in &snap.spans {
         let Some(end) = s.end else { continue };
         let pid = pid_of[s.track.as_ref()];
@@ -129,12 +95,21 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
             format!(
                 "{{\"span\":{},\"detail\":\"{}\"}}",
                 s.id.get(),
-                esc(s.detail.as_ref())
+                JsonStr(&s.detail)
             )
         };
+        if s.mark {
+            recs.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{args}}}",
+                JsonStr(s.name),
+                s.cat.name(),
+                ts_us(s.begin.as_nanos()),
+            ));
+            continue;
+        }
         recs.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\"args\":{args}}}",
-            esc(s.name),
+            JsonStr(s.name),
             s.cat.name(),
             ts_us(s.begin.as_nanos()),
             ts_us(end.as_nanos().saturating_sub(s.begin.as_nanos())),
@@ -165,21 +140,6 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
             ts_us(to_end.as_nanos()),
             pid_of[to.track.as_ref()],
             tracks[to.track.as_ref()][to.lane.as_ref()],
-        ));
-    }
-
-    // Flat events as thread-scoped instants on per-category lanes.
-    for e in events {
-        let tid = Category::ALL
-            .iter()
-            .position(|c| *c == e.category())
-            .expect("category is in ALL")
-            + 1;
-        recs.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{events_pid},\"tid\":{tid}}}",
-            e.event.kind(),
-            e.category().name(),
-            ts_us(e.at.as_nanos()),
         ));
     }
 
@@ -225,6 +185,7 @@ pub fn export(snap: &SpanSnapshot, events: &[TraceEvent], epochs: &[EpochRecord]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Category;
     use crate::span::SpanStore;
     use crate::time::SimTime;
 
@@ -273,8 +234,8 @@ mod tests {
     #[test]
     fn export_is_byte_stable_and_shapes_right() {
         let snap = sample();
-        let one = export(&snap, &[], &[]);
-        let two = export(&snap, &[], &[]);
+        let one = export(&snap, &[]);
+        let two = export(&snap, &[]);
         assert_eq!(one, two);
         // pids follow sorted track order: alpha0=1, beta0=2.
         assert!(one.contains(
@@ -298,7 +259,7 @@ mod tests {
                 ran: vec![true, true],
             },
         ];
-        let out = export(&SpanSnapshot::default(), &[], &epochs);
+        let out = export(&SpanSnapshot::default(), &epochs);
         assert!(out.contains("\"name\":\"shard-engine\""));
         assert!(out.contains(
             "\"name\":\"run\",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":0.000,\"dur\":5.000"
@@ -309,16 +270,25 @@ mod tests {
     }
 
     #[test]
-    fn instant_events_land_on_category_lanes() {
-        use crate::event::Event;
-        let events = vec![TraceEvent {
-            at: t(7_250),
-            event: Event::PacketDrop { link: 3, bytes: 99 },
-        }];
-        let out = export(&SpanSnapshot::default(), &events, &[]);
-        // Net is the second category lane.
+    fn marks_render_as_instant_ticks_on_their_host_rows() {
+        let st = SpanStore::new();
+        st.set_enabled(true);
+        st.mark(
+            t(7_250),
+            Category::Mem,
+            "mem_deny",
+            "beta0",
+            "mem",
+            "requested=9",
+        );
+        let out = export(&st.snapshot(), &[]);
         assert!(out.contains(
-            "{\"name\":\"packet_drop\",\"cat\":\"net\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7.250,\"pid\":1,\"tid\":2}"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"beta0\"}}"
         ));
+        assert!(out.contains(
+            "{\"name\":\"mem_deny\",\"cat\":\"mem\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7.250,\"pid\":1,\"tid\":1,\
+             \"args\":{\"span\":1,\"detail\":\"requested=9\"}}"
+        ));
+        assert!(!out.contains("\"ph\":\"X\""));
     }
 }

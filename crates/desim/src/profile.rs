@@ -80,13 +80,13 @@ pub struct Profile {
 
 impl Profile {
     /// Build the attribution tables from a snapshot. Open spans (no
-    /// `end`) contribute nothing.
+    /// `end`) and marks contribute nothing.
     pub fn from_snapshot(snap: &SpanSnapshot) -> Profile {
         let mut lanes: BTreeMap<(String, String), LaneRow> = BTreeMap::new();
         let mut ops: BTreeMap<(Category, &'static str), OpRow> = BTreeMap::new();
         let mut total = 0u64;
         for s in &snap.spans {
-            if s.end.is_none() {
+            if s.end.is_none() || s.mark {
                 continue;
             }
             let d = s.dur_ns();
@@ -214,7 +214,8 @@ pub struct CriticalPath {
 
 /// Compute the critical path of a snapshot.
 ///
-/// Only completed spans participate, and [`Category::Sched`] spans are
+/// Only completed spans participate — marks never do — and
+/// [`Category::Sched`] spans are
 /// left out of the DAG entirely: scheduler quanta are the rate
 /// controller's wall slices, granted whether or not the process makes
 /// progress, so a quantum lane is saturated end-to-end by construction
@@ -244,9 +245,12 @@ pub struct CriticalPath {
 /// tie-breaks are deterministic: higher cost first, then edge kind
 /// (flow, work, lane, parent), then smaller span id.
 pub fn critical_path(snap: &SpanSnapshot) -> CriticalPath {
-    // Completed non-scheduler spans, indexed into `snap.spans`.
+    // Completed non-scheduler spans (no marks), indexed into `snap.spans`.
     let comp: Vec<usize> = (0..snap.spans.len())
-        .filter(|&i| snap.spans[i].end.is_some() && snap.spans[i].cat != Category::Sched)
+        .filter(|&i| {
+            let s = &snap.spans[i];
+            s.end.is_some() && !s.mark && s.cat != Category::Sched
+        })
         .collect();
     if comp.is_empty() {
         return CriticalPath::default();
@@ -644,6 +648,34 @@ mod tests {
         assert_eq!(cp.hops[0].count, 3);
         assert_eq!(cp.hops[0].contrib_ns, 35);
         assert!(cp.to_table().contains("vsock_send x3"));
+    }
+
+    #[test]
+    fn marks_change_neither_profile_nor_critical_path() {
+        // Two back-to-back allreduce spans on rank0 coalesce into one
+        // "x2" hop; a mark between them on the same lane must not split
+        // the hop, add a profile row, or shift any total.
+        let snap = |with_mark: bool| {
+            let st = SpanStore::new();
+            st.set_enabled(true);
+            for (b, e) in [(0u64, 10u64), (10, 25)] {
+                if with_mark && b == 10 {
+                    st.mark(t(10), Category::Mpi, "rank_timeout", "h0", "rank0", "");
+                }
+                let id = st.begin(t(b), None, Category::Mpi, "allreduce", "h0", "rank0", "x4");
+                st.end(t(e), id);
+            }
+            st.snapshot()
+        };
+        let (plain, marked) = (snap(false), snap(true));
+        assert_eq!(marked.spans.len(), 3);
+        assert_eq!(
+            Profile::from_snapshot(&marked).to_table(),
+            Profile::from_snapshot(&plain).to_table()
+        );
+        let cp = critical_path(&marked).to_table();
+        assert_eq!(cp, critical_path(&plain).to_table());
+        assert!(cp.contains("allreduce x2"), "{cp}");
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Causal spans and cross-process flow edges.
+//! Causal spans, instant marks, and cross-process flow edges.
 //!
-//! The flat [`crate::trace::Tracer`] answers *what happened*; spans
-//! answer *what caused what* and *what dominated*. A span is a named
-//! interval of virtual time on a `(track, lane)` pair — track is a
-//! virtual host (a Perfetto "process" row), lane is a process or daemon
-//! within it (a Perfetto "thread" row). Spans may carry an explicit
-//! parent link, and **flow edges** connect a span on one track to a
-//! span on another (message send → receive, MPI collective rendezvous),
-//! turning the per-lane interval lists into a causal DAG.
+//! The span store is the simulator's only per-occurrence record: it
+//! answers *what happened*, *what caused what*, and *what dominated*. A
+//! span is a named interval of virtual time on a `(track, lane)` pair —
+//! track is a virtual host (a Perfetto "process" row), lane is a process
+//! or daemon within it (a Perfetto "thread" row). A **mark** is a
+//! zero-length span for a rare fact with no interval of its own (a
+//! memory denial, an injected fault); the profiler and critical path
+//! skip marks. Spans may carry an explicit parent link, and **flow
+//! edges** connect a span on one track to a span on another (message
+//! send → receive, MPI collective rendezvous), turning the per-lane
+//! interval lists into a causal DAG.
 //!
 //! ## Flow matching
 //!
@@ -27,6 +30,8 @@
 //! pure function of the recorded half-points.
 
 use std::cell::RefCell;
+use std::fmt::{self, Write as _};
+use std::io;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -72,9 +77,9 @@ pub struct SpanRecord {
     pub id: SpanId,
     /// Enclosing span, if the caller linked one.
     pub parent: Option<SpanId>,
-    /// Subsystem category (reused from the flat event stream).
+    /// Subsystem category.
     pub cat: Category,
-    /// Stable operation name (`"quantum"`, `"vsock_send"`, …).
+    /// Stable operation name (`"quantum"`, `"vsock_send"`, `"mem_alloc"`, …).
     pub name: &'static str,
     /// Top-level grouping row — the virtual host or node.
     pub track: SpanStr,
@@ -86,6 +91,9 @@ pub struct SpanRecord {
     pub begin: SimTime,
     /// Virtual instant the span ended; `None` if never closed.
     pub end: Option<SimTime>,
+    /// True for an instant mark ([`SpanStore::mark`]): zero length, and
+    /// left out of the profiler and the critical path.
+    pub mark: bool,
 }
 
 impl SpanRecord {
@@ -94,6 +102,26 @@ impl SpanRecord {
         self.end
             .map(|e| e.as_nanos().saturating_sub(self.begin.as_nanos()))
             .unwrap_or(0)
+    }
+}
+
+/// Displays a string escaped for a JSON string value (quotes not
+/// included) — the one escaper behind both the JSON-lines trace and the
+/// Perfetto export.
+pub(crate) struct JsonStr<'a>(pub &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -135,6 +163,46 @@ impl SpanSnapshot {
         let idx = (id.0 - 1) as usize;
         self.spans.get(idx).filter(|s| s.id == id)
     }
+
+    /// Write every span and mark as one JSON object per line, in begin
+    /// order, so `t_ns` never decreases — the `mgrid --trace-out`
+    /// format:
+    /// `{"t_ns":…,"cat":…,"name":…,"span":…,"parent":…,"track":…,"lane":…,"detail":…,"dur_ns":…,"mark":true}`.
+    /// `t_ns` is the begin instant; `parent` and `detail` appear only
+    /// when set, `dur_ns` only once the span is closed, and `mark` only
+    /// on marks.
+    pub fn write_json_lines(&self, w: &mut impl io::Write) -> io::Result<()> {
+        for s in &self.spans {
+            write!(
+                w,
+                "{{\"t_ns\":{},\"cat\":\"{}\",\"name\":\"{}\",\"span\":{}",
+                s.begin.as_nanos(),
+                s.cat.name(),
+                JsonStr(s.name),
+                s.id.get()
+            )?;
+            if let Some(p) = s.parent {
+                write!(w, ",\"parent\":{}", p.get())?;
+            }
+            write!(
+                w,
+                ",\"track\":\"{}\",\"lane\":\"{}\"",
+                JsonStr(&s.track),
+                JsonStr(&s.lane)
+            )?;
+            if !s.detail.is_empty() {
+                write!(w, ",\"detail\":\"{}\"", JsonStr(&s.detail))?;
+            }
+            if s.end.is_some() {
+                write!(w, ",\"dur_ns\":{}", s.dur_ns())?;
+            }
+            if s.mark {
+                w.write_all(b",\"mark\":true")?;
+            }
+            w.write_all(b"}\n")?;
+        }
+        Ok(())
+    }
 }
 
 /// Key of one flow half-point stream: `(class, src, dst)`.
@@ -142,7 +210,6 @@ type FlowKey = (&'static str, String, String);
 
 struct SpanInner {
     enabled: bool,
-    capacity: usize,
     dropped: u64,
     spans: Vec<SpanRecord>,
     /// Send-side half-points in per-key emit order (the vector index is
@@ -157,9 +224,9 @@ struct SpanInner {
 ///
 /// Disabled by default — [`SpanStore::set_enabled`] turns it on, and
 /// while disabled every operation is a cheap no-op returning
-/// [`SpanId::NONE`]. Unlike the bounded event ring, spans are kept in
-/// full (the critical-path analyzer needs the whole DAG); `capacity` is
-/// a large backstop against runaway instrumentation, counted in
+/// [`SpanId::NONE`]. Spans are kept in full (the critical-path analyzer
+/// needs the whole DAG); [`SpanStore::DEFAULT_CAPACITY`] is a large
+/// backstop against runaway instrumentation, counted in
 /// [`SpanStore::dropped`] when hit.
 #[derive(Clone)]
 pub struct SpanStore {
@@ -173,15 +240,14 @@ impl Default for SpanStore {
 }
 
 impl SpanStore {
-    /// Default backstop on retained spans.
+    /// Backstop on retained spans and marks.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
-    /// A fresh, disabled store with the default capacity.
+    /// A fresh, disabled store.
     pub fn new() -> Self {
         SpanStore {
             inner: Rc::new(RefCell::new(SpanInner {
                 enabled: false,
-                capacity: Self::DEFAULT_CAPACITY,
                 dropped: 0,
                 spans: Vec::new(),
                 out_points: FxHashMap::default(),
@@ -200,11 +266,6 @@ impl SpanStore {
     /// still be closed.
     pub fn set_enabled(&self, on: bool) {
         self.inner.borrow_mut().enabled = on;
-    }
-
-    /// Change the retained-span backstop (existing spans are kept).
-    pub fn set_capacity(&self, capacity: usize) {
-        self.inner.borrow_mut().capacity = capacity;
     }
 
     /// Number of retained spans.
@@ -239,7 +300,7 @@ impl SpanStore {
         if !s.enabled {
             return SpanId::NONE;
         }
-        if s.spans.len() >= s.capacity {
+        if s.spans.len() >= Self::DEFAULT_CAPACITY {
             s.dropped += 1;
             return SpanId::NONE;
         }
@@ -254,8 +315,30 @@ impl SpanStore {
             detail: detail.into(),
             begin: at,
             end: None,
+            mark: false,
         });
         id
+    }
+
+    /// Record an instant mark at `at`: a closed zero-length span flagged
+    /// [`SpanRecord::mark`]. Counts against the same backstop as spans.
+    pub fn mark(
+        &self,
+        at: SimTime,
+        cat: Category,
+        name: &'static str,
+        track: impl Into<SpanStr>,
+        lane: impl Into<SpanStr>,
+        detail: impl Into<SpanStr>,
+    ) {
+        let id = self.begin(at, None, cat, name, track, lane, detail);
+        if id.is_none() {
+            return;
+        }
+        let mut s = self.inner.borrow_mut();
+        let rec = &mut s.spans[(id.0 - 1) as usize];
+        rec.end = Some(at);
+        rec.mark = true;
     }
 
     /// Close a span at `at`. No-op for the sentinel or an already-closed
@@ -434,28 +517,79 @@ mod tests {
     #[test]
     fn capacity_backstop_counts_drops() {
         let s = store();
-        s.set_capacity(1);
+        let h: SpanStr = "h".into();
+        for i in 0..SpanStore::DEFAULT_CAPACITY as u64 {
+            s.mark(t(i), Category::Mem, "mem_alloc", h.clone(), h.clone(), "");
+        }
+        let over = s.begin(t(0), None, Category::Mpi, "barrier", "h", "r0", "");
+        assert!(over.is_none());
+        s.mark(t(0), Category::Mem, "mem_alloc", "h", "mem", "");
+        assert_eq!(s.dropped(), 2);
+        assert_eq!(s.len(), SpanStore::DEFAULT_CAPACITY);
+    }
+
+    #[test]
+    fn marks_are_closed_zero_length_and_flagged() {
+        let s = store();
+        let a = s.begin(t(1), None, Category::Mpi, "barrier", "h", "r0", "");
+        s.mark(t(4), Category::Mem, "mem_deny", "h", "mem", "requested=9");
+        s.end(t(6), a);
+        let snap = s.snapshot();
+        let m = &snap.spans[1];
+        assert!(m.mark && !snap.spans[0].mark);
+        assert_eq!((m.begin, m.end, m.dur_ns()), (t(4), Some(t(4)), 0));
+        // A disabled store records no mark.
+        s.set_enabled(false);
+        s.mark(t(7), Category::Mem, "mem_alloc", "h", "mem", "");
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn json_lines_shape_and_escaping() {
+        let s = store();
         let a = s.begin(
-            t(1),
+            t(42),
             None,
-            Category::Mpi,
-            "barrier",
-            "h",
-            "r0",
-            String::new(),
+            Category::Sched,
+            "quantum",
+            "alpha0",
+            "mg.A",
+            "",
         );
+        s.end(t(50), a);
         let b = s.begin(
-            t(2),
-            None,
-            Category::Mpi,
-            "barrier",
-            "h",
-            "r1",
-            String::new(),
+            t(43),
+            Some(a),
+            Category::Vsock,
+            "vsock_recv",
+            "a\"b\\c",
+            "p",
+            "x\ny",
         );
-        assert!(!a.is_none());
-        assert!(b.is_none());
-        assert_eq!(s.dropped(), 1);
-        assert_eq!(s.len(), 1);
+        s.mark(
+            t(44),
+            Category::Mem,
+            "mem_alloc",
+            "alpha0",
+            "mem",
+            "bytes=8",
+        );
+        let snap = s.snapshot();
+        let mut buf = Vec::new();
+        snap.write_json_lines(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "{\"t_ns\":42,\"cat\":\"sched\",\"name\":\"quantum\",\"span\":1,\
+                 \"track\":\"alpha0\",\"lane\":\"mg.A\",\"dur_ns\":8}",
+                "{\"t_ns\":43,\"cat\":\"vsock\",\"name\":\"vsock_recv\",\"span\":2,\
+                 \"parent\":1,\"track\":\"a\\\"b\\\\c\",\"lane\":\"p\",\"detail\":\"x\\ny\"}",
+                "{\"t_ns\":44,\"cat\":\"mem\",\"name\":\"mem_alloc\",\"span\":3,\
+                 \"track\":\"alpha0\",\"lane\":\"mem\",\"detail\":\"bytes=8\",\"dur_ns\":0,\"mark\":true}",
+            ]
+        );
+        assert_eq!(snap.span(b).unwrap().end, None);
     }
 }

@@ -13,16 +13,14 @@
 
 use mgrid_desim::shard::EpochRecord;
 use mgrid_desim::time::SimDuration;
-use mgrid_desim::{obs, perfetto, sleep, spawn, Category, Event, Simulation};
+use mgrid_desim::{obs, perfetto, sleep, spawn, Category, Simulation};
 
 /// Drive a small deterministic scenario: two "hosts" exchange one
-/// message and run one collective-style rendezvous, with a few typed
-/// events mixed in. Returns the exporter's output.
+/// message, with an instant mark mixed in. Returns the exporter's
+/// output.
 fn small_export() -> String {
     let mut sim = Simulation::new(42);
-    sim.obs().enable_tracing(64);
     sim.obs().enable_spans();
-    let obs_handle = sim.obs().clone();
     sim.block_on(async move {
         // h0: compute, then send.
         spawn(async {
@@ -35,9 +33,8 @@ fn small_export() -> String {
                 ("h0".into(), "p0".into(), "h1:7".into())
             });
             obs::flow_out("msg", "h0", "h1:7", tx);
-            obs::emit(|| Event::QuantumGrant {
-                host: "h0".into(),
-                job: "p0".into(),
+            obs::mark(Category::Mem, "mem_alloc", || {
+                ("h0".into(), "mem".into(), "bytes=64".into())
             });
             sleep(SimDuration::from_micros(20)).await;
             obs::span_end(tx);
@@ -59,7 +56,6 @@ fn small_export() -> String {
         sleep(SimDuration::from_micros(300)).await;
     });
     let snap = sim.obs().spans().snapshot();
-    let events = obs_handle.tracer().events();
     let epochs = vec![
         EpochRecord {
             horizons: vec![100_000, 100_000],
@@ -70,7 +66,7 @@ fn small_export() -> String {
             ran: vec![true, true],
         },
     ];
-    perfetto::export(&snap, &events, &epochs)
+    perfetto::export(&snap, &epochs)
 }
 
 #[test]

@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mgrid_desim::time::{SimDuration, SimTime};
-use mgrid_desim::{obs, spawn_daemon, Event};
+use mgrid_desim::{obs, spawn_daemon, Category};
 use serde::{Deserialize, Serialize};
 
 /// One kind of injected fault.
@@ -441,8 +441,8 @@ impl FaultBus {
 ///
 /// Runs as a daemon so a plan stretching past the workload's end never
 /// keeps the simulation alive. Each injection increments
-/// `faults.injected` plus the per-kind `faults.<kind>` counter and emits
-/// an [`Event::FaultInjected`] trace event.
+/// `faults.injected` plus the per-kind `faults.<kind>` counter and records
+/// a `fault_injected` mark on the `faults/injector` row.
 pub fn spawn_injector(plan: &FaultPlan, bus: FaultBus) {
     let events = plan.sorted_events();
     if events.is_empty() {
@@ -453,9 +453,9 @@ pub fn spawn_injector(plan: &FaultPlan, bus: FaultBus) {
             mgrid_desim::sleep_until(SimTime::ZERO + ev.at).await;
             obs::count("faults.injected", 1);
             obs::count(ev.kind.metric_name(), 1);
-            obs::emit(|| Event::FaultInjected {
-                fault: ev.kind.name(),
-                target: ev.kind.target(),
+            obs::mark(Category::Fault, "fault_injected", || {
+                let detail = format!("{} {}", ev.kind.name(), ev.kind.target());
+                ("faults".into(), "injector".into(), detail.into())
             });
             bus.publish(&ev.kind);
         }

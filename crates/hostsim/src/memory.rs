@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mgrid_desim::{obs, Event, FxHashMap};
+use mgrid_desim::{obs, Category, FxHashMap};
 
 /// Error returned when an allocation would exceed the virtual host's cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,27 +51,27 @@ struct MemState {
     peak: u64,
     procs: FxHashMap<u64, ProcUsage>,
     next_proc: u64,
-    /// Virtual-host label attached to emitted trace events.
+    /// Virtual-host label: the track of this manager's marks.
     label: String,
 }
 
 impl MemState {
     fn note_alloc(&self, bytes: u64) {
         obs::count("mem.allocs", 1);
-        obs::emit(|| Event::MemAlloc {
-            host: self.label.clone(),
-            bytes,
-            in_use: self.used,
+        obs::mark(Category::Mem, "mem_alloc", || {
+            let detail = format!("bytes={bytes} in_use={}", self.used);
+            (self.label.as_str().into(), "mem".into(), detail.into())
         });
     }
 
     fn note_deny(&self, requested: u64) {
         obs::count("mem.denials", 1);
-        obs::emit(|| Event::MemDeny {
-            host: self.label.clone(),
-            requested,
-            in_use: self.used,
-            limit: self.limit,
+        obs::mark(Category::Mem, "mem_deny", || {
+            let detail = format!(
+                "requested={requested} in_use={} limit={}",
+                self.used, self.limit
+            );
+            (self.label.as_str().into(), "mem".into(), detail.into())
         });
     }
 }
@@ -99,8 +99,8 @@ impl MemoryManager {
         Self::labeled("vhost", limit)
     }
 
-    /// Like [`MemoryManager::new`], but trace events emitted by this
-    /// manager carry `label` as their host name.
+    /// Like [`MemoryManager::new`], but the marks recorded by this
+    /// manager carry `label` as their host (track) name.
     pub fn labeled(label: impl Into<String>, limit: u64) -> Self {
         MemoryManager {
             state: Rc::new(RefCell::new(MemState {

@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
-use mgrid_desim::{now, obs, spawn_daemon, Category, Event};
+use mgrid_desim::{now, obs, spawn_daemon, Category};
 
 use crate::kernel::{OsKernel, ProcessHandle};
 
@@ -79,7 +79,7 @@ struct SchedInner {
     cursor: usize,
     wake: Notify,
     total_grants: u64,
-    /// Host label attached to emitted trace events.
+    /// Host label: the track of this daemon's `quantum` spans.
     label: String,
 }
 
@@ -97,8 +97,8 @@ impl MGridScheduler {
         Self::start_labeled(kernel, params, "host")
     }
 
-    /// Like [`MGridScheduler::start`], but trace events emitted by this
-    /// daemon carry `label` as their host name.
+    /// Like [`MGridScheduler::start`], but the spans recorded by this
+    /// daemon carry `label` as their host (track) name.
     pub fn start_labeled(kernel: &OsKernel, params: SchedulerParams, label: &str) -> Self {
         let daemon = kernel.spawn_process("mgrid-schedd");
         let sched = MGridScheduler {
@@ -294,10 +294,6 @@ impl MGridScheduler {
             // the native scheduler like the real daemon does.
             self.daemon.run_cpu(overhead).await;
             let t0 = now();
-            obs::emit(|| Event::QuantumGrant {
-                host: self.inner.borrow().label.clone(),
-                job: proc.name(),
-            });
             // Causal span covering the whole grant (quantum + wakeup
             // jitter): the unit of virtual CPU attribution in the
             // profiler, one slice per grant on the job's Perfetto lane.
@@ -328,11 +324,6 @@ impl MGridScheduler {
             let wall = now() - t0;
             m_quanta.add(1);
             m_quantum_wall.observe(wall.as_nanos());
-            obs::emit(|| Event::QuantumPreempt {
-                host: self.inner.borrow().label.clone(),
-                job: proc.name(),
-                wall_ns: wall.as_nanos(),
-            });
             let mut inner = self.inner.borrow_mut();
             inner.total_grants += 1;
             let job = &mut inner.jobs[idx];

@@ -7,33 +7,25 @@
 //! and moves data only across the simulated virtual network.
 
 use mgrid_desim::time::SimDuration;
-use mgrid_desim::{obs, Category, Event};
+use mgrid_desim::{obs, Category};
 use mgrid_netsim::{NetError, Payload};
 
 use crate::process::ProcessCtx;
 use crate::vip::VirtIp;
 
-/// Record one outbound vsocket message in the observability layer.
-fn note_send(ctx: &ProcessCtx, dst: &str, bytes: u64) {
+/// Count one outbound vsocket message (the `vsock_send` span records
+/// the occurrence itself).
+fn note_send(ctx: &ProcessCtx, bytes: u64) {
     let m = &ctx.vsock_metrics;
     m.sends.add(1);
     m.bytes_sent.add(bytes);
-    obs::emit(|| Event::VsockSend {
-        src: ctx.gethostname().to_string(),
-        dst: dst.to_string(),
-        bytes,
-    });
 }
 
-/// Record one delivered vsocket message in the observability layer.
+/// Count one delivered vsocket message.
 fn note_recv(ctx: &ProcessCtx, bytes: u64) {
     let m = &ctx.vsock_metrics;
     m.recvs.add(1);
     m.bytes_recvd.add(bytes);
-    obs::emit(|| Event::VsockRecv {
-        host: ctx.gethostname().to_string(),
-        bytes,
-    });
 }
 
 /// One reliable send: the shared body of [`VSender::send_to`] and
@@ -61,7 +53,7 @@ async fn send_impl(
         obs::flow_out("msg", ctx.gethostname(), &format!("{host}:{port}"), span);
     }
     ctx.process().intercept_overhead().await;
-    note_send(ctx, host, size_bytes);
+    note_send(ctx, size_bytes);
     let res = ctx
         .endpoint()
         .send(entry.node, port, src_port, size_bytes, payload)

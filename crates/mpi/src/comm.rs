@@ -15,7 +15,7 @@ use mgrid_desim::channel::{oneshot, OneshotSender};
 use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::timeout::with_timeout;
-use mgrid_desim::{obs, spawn, Category, Event, FxHashMap, FxHashSet, SpanStr};
+use mgrid_desim::{obs, spawn, Category, FxHashMap, FxHashSet, SpanStr};
 use mgrid_middleware::{ProcessCtx, SockError, VSender};
 use mgrid_netsim::Payload;
 
@@ -213,10 +213,14 @@ impl Comm {
             self.failed.borrow_mut().insert(suspect as usize);
         }
         obs::count("mpi.rank_timeouts", 1);
-        let waited_ns = waited.as_nanos();
-        obs::emit(|| Event::RankTimeout {
-            rank: suspect.max(-1) as u64,
-            waited_ns,
+        obs::mark(Category::Mpi, "rank_timeout", || {
+            let detail = format!("suspect={suspect} waited_ns={}", waited.as_nanos());
+            let lane = format!("rank{}", self.rank);
+            (
+                self.hosts[self.rank].as_str().into(),
+                lane.into(),
+                detail.into(),
+            )
         });
         SockError::TimedOut
     }
@@ -507,10 +511,10 @@ impl Comm {
         self.protocol_send(dst, tag, data).await
     }
 
-    /// Wrap one collective call with trace events, timing metrics, and a
-    /// causal span. Emitted per participating rank; `elapsed_ns` is this
-    /// rank's wall time in the collective (skew across ranks is visible
-    /// in the histogram spread).
+    /// Wrap one collective call with timing metrics and a causal span.
+    /// Recorded per participating rank; `elapsed_ns` is this rank's wall
+    /// time in the collective (skew across ranks is visible in the
+    /// histogram spread).
     ///
     /// Each rank records one `Mpi` span per collective. Non-root ranks
     /// publish a `"coll"` flow half-point toward rank 0; rank 0 consumes
@@ -523,7 +527,6 @@ impl Comm {
         fut: impl std::future::Future<Output = Result<T, SockError>>,
     ) -> Result<T, SockError> {
         let ranks = self.size();
-        obs::emit(|| Event::CollectiveStart { op, ranks });
         let rank = self.rank;
         let span = obs::span_begin(Category::Mpi, op, || {
             let (track, lane, detail) = self.span_attrs.get_or_init(|| {
@@ -549,11 +552,6 @@ impl Comm {
         obs::span_end(span);
         obs::count("mpi.collectives", 1);
         obs::observe("mpi.collective_ns", elapsed_ns);
-        obs::emit(|| Event::CollectiveEnd {
-            op,
-            ranks,
-            elapsed_ns,
-        });
         out
     }
 

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::timeout::with_timeout;
 use mgrid_desim::vclock::VirtualClock;
-use mgrid_desim::{obs, spawn, Event};
+use mgrid_desim::{obs, spawn, Category};
 use mgrid_middleware::{HostTable, ProcessCtx};
 use mgrid_netsim::Network;
 
@@ -149,9 +149,10 @@ where
         let out = with_timeout(remaining, h).await;
         if out.is_none() {
             obs::count("faults.jobs_dropped", 1);
-            obs::emit(|| Event::RankTimeout {
-                rank: rank as u64,
-                waited_ns: deadline.as_nanos(),
+            obs::mark(Category::Mpi, "rank_timeout", || {
+                let detail = format!("waited_ns={}", deadline.as_nanos());
+                let lane = format!("rank{rank}");
+                (hosts[rank].as_str().into(), lane.into(), detail.into())
             });
         }
         outputs.push(out);

@@ -22,8 +22,8 @@ use mgrid_desim::sync::Notify;
 use mgrid_desim::time::{SimDuration, SimTime};
 use mgrid_desim::vclock::VirtualClock;
 use mgrid_desim::{
-    fork_rng, now, obs, sleep_until, spawn_daemon, Counter, Event, FxHashMap, FxHashSet,
-    HistogramHandle, SimRng,
+    fork_rng, now, obs, sleep_until, spawn_daemon, Counter, FxHashMap, FxHashSet, HistogramHandle,
+    SimRng,
 };
 use mgrid_faults::{FaultBus, FaultKind};
 
@@ -603,10 +603,6 @@ impl Network {
             link.stats.borrow_mut().drops += 1;
             self.inner.stats.borrow_mut().packet_drops += 1;
             self.inner.m.drops.add(1);
-            obs::emit(|| Event::PacketDrop {
-                link: lid.0,
-                bytes: pkt.wire_bytes,
-            });
             return;
         }
         link.queued_bytes.set(queued + pkt.wire_bytes);
@@ -616,11 +612,6 @@ impl Network {
             st.peak_queue_bytes = st.peak_queue_bytes.max(peak);
         }
         self.inner.m.queue_depth.observe(peak);
-        obs::emit(|| Event::PacketEnqueue {
-            link: lid.0,
-            bytes: pkt.wire_bytes,
-            queued_bytes: peak,
-        });
         link.queue.borrow_mut().push_back(pkt);
         link.notify.notify_one();
     }
@@ -682,10 +673,6 @@ impl Network {
             }
             self.inner.m.packets_tx.add(1);
             self.inner.m.bytes_tx.add(pkt.wire_bytes);
-            obs::emit(|| Event::PacketDequeue {
-                link: lid.0,
-                bytes: pkt.wire_bytes,
-            });
             // The clock rate can change mid-run, so the deadline is fixed
             // at serialization time (same instant the per-packet task used
             // to compute it).
@@ -710,10 +697,6 @@ impl Network {
                         link.stats.borrow_mut().drops += 1;
                         self.inner.stats.borrow_mut().packet_drops += 1;
                         self.inner.m.drops.add(1);
-                        obs::emit(|| Event::PacketDrop {
-                            link: lid.0,
-                            bytes: pkt.wire_bytes,
-                        });
                     } else {
                         (sh.export)(to_node, now() + prop, pkt);
                     }
@@ -766,10 +749,6 @@ impl Network {
                         link.stats.borrow_mut().drops += 1;
                         self.inner.stats.borrow_mut().packet_drops += 1;
                         self.inner.m.drops.add(1);
-                        obs::emit(|| Event::PacketDrop {
-                            link: lid.0,
-                            bytes: pkt.wire_bytes,
-                        });
                         continue;
                     }
                     self.deliver(to_node, pkt);

@@ -27,7 +27,7 @@ use std::cmp::Ordering;
 use serde::{Deserialize, Serialize};
 
 use mgrid_desim::time::SimDuration;
-use mgrid_desim::{obs, Counter, Event, FxHashMap};
+use mgrid_desim::{obs, Category, Counter, FxHashMap};
 
 /// Index of a node in the topology.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
@@ -390,17 +390,25 @@ impl Topology {
     /// A valid route visits each node at most once, so it has at most
     /// `N − 1` links; needing one more means the first-hop tables chain
     /// into a cycle. That should be impossible (every hop strictly
-    /// decreases the remaining distance), so it is reported as an
-    /// [`Event::RouteLoop`] trace event rather than silently.
+    /// decreases the remaining distance), so it is reported rather than
+    /// silently: it bumps the always-on `net.route_loops` counter and
+    /// records a `route_loop` mark on the source node's `route` row.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
         let mut path = Vec::new();
         let mut cur = src;
         while cur != dst {
             if path.len() + 1 >= self.nodes.len() {
-                obs::emit(|| Event::RouteLoop {
-                    src: src.0,
-                    dst: dst.0,
-                    at: cur.0,
+                obs::count("net.route_loops", 1);
+                obs::mark(Category::Net, "route_loop", || {
+                    let detail = format!(
+                        "dst={} at={}",
+                        self.nodes[dst.0].name, self.nodes[cur.0].name
+                    );
+                    (
+                        self.nodes[src.0].name.as_str().into(),
+                        "route".into(),
+                        detail.into(),
+                    )
                 });
                 return None;
             }
@@ -688,29 +696,43 @@ mod tests {
     fn poisoned_cache_loop_is_detected_and_traced() {
         // Hand-poison the cache with first-hop tables that chain a->r,
         // r->a for destination c: the walk must stop after N-1 links and
-        // emit a RouteLoop event instead of spinning or silently failing.
-        let mut sim = mgrid_desim::Simulation::new(7);
-        sim.obs().enable_tracing(16);
-        let obs = sim.obs().clone();
-        sim.block_on(async {
-            let mut b = TopologyBuilder::new();
-            let a = b.host("a");
-            let r = b.router("r");
-            let c = b.host("c");
-            let (ar, ra) = b.link(a, r, LinkSpec::new(1e8, ms(1)));
-            b.link(r, c, LinkSpec::new(1e8, ms(1)));
-            let t = b.build();
-            {
-                let mut cache = t.cache.borrow_mut();
-                cache.insert(a.0, vec![None, Some(ar), Some(ar)]);
-                cache.insert(r.0, vec![Some(ra), None, Some(ra)]);
+        // report the loop instead of spinning or silently failing — as
+        // the always-on counter, and as a mark when spans are on.
+        let run = |spans: bool| {
+            let mut sim = mgrid_desim::Simulation::new(7);
+            if spans {
+                sim.obs().enable_spans();
             }
-            assert_eq!(t.route(a, c), None);
-        });
-        let loops = obs
-            .tracer()
-            .events_in(mgrid_desim::event::Category::Net)
-            .len();
-        assert_eq!(loops, 1, "exactly one RouteLoop event must be traced");
+            let obs = sim.obs().clone();
+            sim.block_on(async {
+                let mut b = TopologyBuilder::new();
+                let a = b.host("a");
+                let r = b.router("r");
+                let c = b.host("c");
+                let (ar, ra) = b.link(a, r, LinkSpec::new(1e8, ms(1)));
+                b.link(r, c, LinkSpec::new(1e8, ms(1)));
+                let t = b.build();
+                {
+                    let mut cache = t.cache.borrow_mut();
+                    cache.insert(a.0, vec![None, Some(ar), Some(ar)]);
+                    cache.insert(r.0, vec![Some(ra), None, Some(ra)]);
+                }
+                assert_eq!(t.route(a, c), None);
+            });
+            obs
+        };
+        let off = run(false);
+        assert_eq!(off.metrics().counter("net.route_loops"), 1);
+        assert!(off.spans().is_empty());
+
+        let on = run(true);
+        assert_eq!(on.metrics().counter("net.route_loops"), 1);
+        let snap = on.spans().snapshot();
+        assert_eq!(snap.spans.len(), 1, "exactly one RouteLoop mark");
+        let m = &snap.spans[0];
+        assert!(m.mark);
+        assert_eq!((m.cat, m.name), (Category::Net, "route_loop"));
+        assert_eq!((&*m.track, &*m.lane), ("a", "route"));
+        assert_eq!(&*m.detail, "dst=c at=a");
     }
 }
