@@ -20,26 +20,32 @@
 //!   completed task is rejected by a generation compare instead of a hash
 //!   probe, and spawn/complete never allocate map nodes.
 //! * **Task wakers** are created once per task and cached in its slot;
-//!   polling reuses the cached waker (an `Arc` clone) instead of
-//!   allocating a fresh waker per poll.
-//! * **Timers** keep their tie-break-by-registration-sequence contract in
-//!   the binary heap, but waker storage is a generation-tagged slab
-//!   addressed by a private `TimerHandle`; re-arming an existing timer uses
-//!   [`Waker::will_wake`] to skip redundant clones.
+//!   a poll moves the cached waker out of the slot and back afterwards,
+//!   so polling touches no reference count.
+//! * **Timers** live in a generation-tagged slab addressed by a private
+//!   `TimerHandle`, and an indexed binary heap orders them by
+//!   `(deadline, registration seq)`. Each slot records its heap position,
+//!   so cancelling removes the entry at once (O(log n)) and the heap
+//!   holds only live timers. A timer armed with the waker of the task
+//!   being polled stores that task's [`TaskId`]: firing it pushes the id
+//!   onto the ready queue, exactly what the task's waker would do,
+//!   without keeping a waker clone. Any other waker is stored as is, and
+//!   re-arming skips the store when the target is unchanged.
 //! * The **ready queue** is a plain `VecDeque` behind an owner-thread
 //!   assertion instead of a `Mutex`: wakers are nominally `Send + Sync`,
 //!   but every task of a `!Send` simulation runs on the thread that owns
-//!   it, so the queue is never actually shared. The assertion turns any
-//!   future violation of that invariant into a panic rather than a race.
+//!   it, so the queue is never actually shared. The assertion compares
+//!   against a thread id cached in a thread-local and turns any future
+//!   violation of that invariant into a panic rather than a race.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWakerVTable, Wake, Waker};
+use std::thread::ThreadId;
 
 use crate::obs::Obs;
 use crate::rng::{SharedRng, SimRng};
@@ -75,7 +81,7 @@ type BoxedFuture = Pin<Box<dyn Future<Output = ()>>>;
 /// owner thread and then use the queue directly; a waker smuggled to
 /// another thread panics instead of racing.
 struct ReadyQueue {
-    owner: std::thread::ThreadId,
+    owner: ThreadId,
     queue: UnsafeCell<VecDeque<TaskId>>,
 }
 
@@ -88,10 +94,17 @@ unsafe impl Send for ReadyQueue {}
 // concurrent access for Sync to make unsound.
 unsafe impl Sync for ReadyQueue {}
 
+thread_local! {
+    /// This thread's id. `std::thread::current()` clones the thread's
+    /// handle on every call, too slow for a check made on each wake and
+    /// poll.
+    static THREAD_ID: ThreadId = std::thread::current().id();
+}
+
 impl ReadyQueue {
     fn new() -> Arc<Self> {
         Arc::new(ReadyQueue {
-            owner: std::thread::current().id(),
+            owner: THREAD_ID.with(|id| *id),
             queue: UnsafeCell::new(VecDeque::with_capacity(64)),
         })
     }
@@ -99,7 +112,7 @@ impl ReadyQueue {
     #[inline]
     fn with<R>(&self, f: impl FnOnce(&mut VecDeque<TaskId>) -> R) -> R {
         assert_eq!(
-            std::thread::current().id(),
+            THREAD_ID.with(|id| *id),
             self.owner,
             "simulation waker used off the simulation's own thread"
         );
@@ -152,28 +165,6 @@ struct TaskSlot {
     live: bool,
 }
 
-#[derive(PartialEq, Eq)]
-struct TimerEntry {
-    at: SimTime,
-    /// Global registration sequence: the determinism tie-break for timers
-    /// at the same instant.
-    seq: u64,
-    slot: u32,
-    gen: u32,
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Opaque handle to a registered timer, used to re-arm or cancel it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TimerHandle {
@@ -181,26 +172,201 @@ pub(crate) struct TimerHandle {
     gen: u32,
 }
 
-/// Slab slot holding one pending timer's waker.
+/// What a firing timer wakes.
+enum TimerTarget {
+    /// The task that armed the timer from its own poll. Firing pushes the
+    /// id onto the ready queue, which is all its `TaskWaker` would do.
+    Task(TaskId),
+    /// Any other waker, e.g. one a combinator or test built itself.
+    Waker(Waker),
+}
+
+/// The task being polled, identified by its waker's raw parts so a timer
+/// can tell whether it was armed with that task's own waker.
+#[derive(Clone, Copy)]
+struct PollingTask {
+    id: TaskId,
+    data: *const (),
+    vtable: &'static RawWakerVTable,
+}
+
+/// Slab slot of one timer.
 struct TimerSlot {
+    /// Bumped whenever the timer fires or is cancelled, so a handle to an
+    /// earlier timer in this slot is recognised as stale.
     gen: u32,
-    waker: Option<Waker>,
+    /// Index of this timer's entry in `TimerQueue::heap` while armed.
+    pos: u32,
+    /// `None` while the slot is free.
+    target: Option<TimerTarget>,
+}
+
+#[derive(Clone, Copy)]
+struct HeapEntry {
+    at: SimTime,
+    /// Global registration sequence: the determinism tie-break for timers
+    /// at the same instant.
+    seq: u64,
+    slot: u32,
+}
+
+impl HeapEntry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+/// Pending timers: a min-heap on `(at, seq)` whose entries are exactly the
+/// armed timers, plus the slab that maps each timer to its heap position.
+struct TimerQueue {
+    heap: Vec<HeapEntry>,
+    slots: Vec<TimerSlot>,
+    free: Vec<u32>,
+    next_seq: u64,
+}
+
+impl TimerQueue {
+    fn new() -> Self {
+        TimerQueue {
+            heap: Vec::with_capacity(64),
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn peek(&self) -> Option<SimTime> {
+        self.heap.first().map(|e| e.at)
+    }
+
+    fn insert(&mut self, at: SimTime, target: TimerTarget) -> TimerHandle {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let pos = u32::try_from(self.heap.len()).expect("timer heap exhausted");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                debug_assert!(s.target.is_none());
+                s.pos = pos;
+                s.target = Some(target);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("timer slab exhausted");
+                self.slots.push(TimerSlot {
+                    gen: 0,
+                    pos,
+                    target: Some(target),
+                });
+                slot
+            }
+        };
+        self.heap.push(HeapEntry { at, seq, slot });
+        self.sift_up(pos as usize);
+        TimerHandle {
+            slot,
+            gen: self.slots[slot as usize].gen,
+        }
+    }
+
+    /// The armed timer `handle` names, or `None` once it fired or was
+    /// cancelled (and its slot perhaps reused).
+    fn live(&mut self, handle: TimerHandle) -> Option<&mut TimerSlot> {
+        let s = &mut self.slots[handle.slot as usize];
+        (s.gen == handle.gen).then_some(s)
+    }
+
+    /// Remove the earliest timer if it is due at `at`, freeing its slot.
+    fn pop_due(&mut self, at: SimTime) -> Option<TimerTarget> {
+        let slot = match self.heap.first() {
+            Some(e) if e.at == at => e.slot,
+            _ => return None,
+        };
+        self.remove(0);
+        Some(self.release(slot))
+    }
+
+    fn cancel(&mut self, handle: TimerHandle) {
+        let Some(s) = self.live(handle) else {
+            return;
+        };
+        let pos = s.pos as usize;
+        self.remove(pos);
+        self.release(handle.slot);
+    }
+
+    fn release(&mut self, slot: u32) -> TimerTarget {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
+        s.target.take().expect("armed timer has a target")
+    }
+
+    fn remove(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("removing from an empty timer heap");
+        if pos == self.heap.len() {
+            return;
+        }
+        self.heap[pos] = last;
+        if pos > 0 && last.key() < self.heap[(pos - 1) / 2].key() {
+            self.sift_up(pos);
+        } else {
+            self.sift_down(pos);
+        }
+    }
+
+    /// Write `e` at `pos` and record the position in its slot.
+    fn place(&mut self, pos: usize, e: HeapEntry) {
+        self.slots[e.slot as usize].pos = pos as u32;
+        self.heap[pos] = e;
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let e = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let p = self.heap[parent];
+            if p.key() < e.key() {
+                break;
+            }
+            self.place(pos, p);
+            pos = parent;
+        }
+        self.place(pos, e);
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let e = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.heap[child + 1].key() < self.heap[child].key() {
+                child += 1;
+            }
+            let c = self.heap[child];
+            if e.key() < c.key() {
+                break;
+            }
+            self.place(pos, c);
+            pos = child;
+        }
+        self.place(pos, e);
+    }
 }
 
 pub(crate) struct SimInner {
     now: Cell<SimTime>,
-    next_timer_seq: Cell<u64>,
     tasks: RefCell<Vec<TaskSlot>>,
     task_free: RefCell<Vec<u32>>,
     /// Non-daemon tasks spawned and not yet completed.
     live_count: Cell<usize>,
     ready: Arc<ReadyQueue>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    timer_slots: RefCell<Vec<TimerSlot>>,
-    timer_free: RefCell<Vec<u32>>,
-    /// Heap entries whose timer was cancelled (generation-stale). Kept
-    /// so the heap can be compacted once the dead weight dominates.
-    stale_timers: Cell<usize>,
+    /// Set for the duration of each task poll.
+    polling: Cell<Option<PollingTask>>,
+    timers: RefCell<TimerQueue>,
     rng: SharedRng,
     polls: Cell<u64>,
     obs: Obs,
@@ -249,15 +415,12 @@ impl Simulation {
         Simulation {
             inner: Rc::new(SimInner {
                 now: Cell::new(SimTime::ZERO),
-                next_timer_seq: Cell::new(0),
                 tasks: RefCell::new(Vec::new()),
                 task_free: RefCell::new(Vec::new()),
                 live_count: Cell::new(0),
                 ready: ReadyQueue::new(),
-                timers: RefCell::new(BinaryHeap::with_capacity(64)),
-                timer_slots: RefCell::new(Vec::new()),
-                timer_free: RefCell::new(Vec::new()),
-                stale_timers: Cell::new(0),
+                polling: Cell::new(None),
+                timers: RefCell::new(TimerQueue::new()),
                 rng: SharedRng::new(seed),
                 polls: Cell::new(0),
                 obs: Obs::new(),
@@ -476,7 +639,8 @@ impl SimInner {
     }
 
     fn poll_task(self: &Rc<Self>, id: TaskId) {
-        // Take the future out so the task may spawn/wake reentrantly.
+        // Take the future and waker out so the task may spawn/wake
+        // reentrantly; both go back into the slot if the task stays pending.
         let (mut fut, waker) = {
             let mut tasks = self.tasks.borrow_mut();
             let Some(slot) = tasks.get_mut(id.slot()) else {
@@ -488,20 +652,24 @@ impl SimInner {
             let Some(fut) = slot.fut.take() else {
                 return; // completed (or mid-poll); spurious wake
             };
-            let waker = slot
-                .waker
-                .get_or_insert_with(|| {
-                    Waker::from(Arc::new(TaskWaker {
-                        id,
-                        ready: self.ready.clone(),
-                    }))
-                })
-                .clone();
+            let waker = slot.waker.take().unwrap_or_else(|| {
+                Waker::from(Arc::new(TaskWaker {
+                    id,
+                    ready: self.ready.clone(),
+                }))
+            });
             (fut, waker)
         };
         let mut cx = Context::from_waker(&waker);
         self.polls.set(self.polls.get() + 1);
-        match fut.as_mut().poll(&mut cx) {
+        self.polling.set(Some(PollingTask {
+            id,
+            data: waker.data(),
+            vtable: waker.vtable(),
+        }));
+        let poll = fut.as_mut().poll(&mut cx);
+        self.polling.set(None);
+        match poll {
             Poll::Ready(()) => {
                 // Run the future's destructors before re-borrowing the
                 // task table: dropping captured state may re-enter the
@@ -513,33 +681,21 @@ impl SimInner {
                     self.live_count.set(self.live_count.get() - 1);
                 }
                 slot.gen = slot.gen.wrapping_add(1);
-                slot.waker = None;
                 slot.daemon = false;
                 slot.live = false;
                 self.task_free.borrow_mut().push(id.slot() as u32);
             }
             Poll::Pending => {
-                self.tasks.borrow_mut()[id.slot()].fut = Some(fut);
+                let mut tasks = self.tasks.borrow_mut();
+                let slot = &mut tasks[id.slot()];
+                slot.fut = Some(fut);
+                slot.waker = Some(waker);
             }
         }
     }
 
     fn peek_timer(&self) -> Option<SimTime> {
-        // Pop cancelled entries off the top so the reported time is a
-        // *live* deadline: the sharded engine feeds this into the global
-        // lower-bound computation, where a stale minimum would shrink
-        // every shard's window for nothing.
-        let mut timers = self.timers.borrow_mut();
-        let slots = self.timer_slots.borrow();
-        while let Some(Reverse(e)) = timers.peek() {
-            if slots[e.slot as usize].gen == e.gen {
-                return Some(e.at);
-            }
-            timers.pop();
-            self.stale_timers
-                .set(self.stale_timers.get().saturating_sub(1));
-        }
-        None
+        self.timers.borrow().peek()
     }
 
     /// Jump the clock to `at` and fire every timer scheduled for that
@@ -548,120 +704,50 @@ impl SimInner {
         debug_assert!(at >= self.now.get(), "time went backwards");
         self.now.set(at);
         loop {
-            let (slot, gen) = {
-                let mut timers = self.timers.borrow_mut();
-                match timers.peek() {
-                    Some(Reverse(e)) if e.at == at => {
-                        let Reverse(e) = timers.pop().unwrap();
-                        (e.slot, e.gen)
-                    }
-                    _ => break,
-                }
-            };
-            let waker = {
-                let mut slots = self.timer_slots.borrow_mut();
-                let s = &mut slots[slot as usize];
-                if s.gen != gen {
-                    // Cancelled timer: the heap entry is a no-op.
-                    self.stale_timers
-                        .set(self.stale_timers.get().saturating_sub(1));
-                    continue;
-                }
-                let w = s.waker.take();
-                s.gen = s.gen.wrapping_add(1);
-                self.timer_free.borrow_mut().push(slot);
-                w
-            };
-            if let Some(w) = waker {
-                w.wake();
+            // End the borrow before waking: a foreign waker may re-enter.
+            let target = self.timers.borrow_mut().pop_due(at);
+            match target {
+                Some(TimerTarget::Task(id)) => self.ready.push(id),
+                Some(TimerTarget::Waker(w)) => w.wake(),
+                None => break,
             }
+        }
+    }
+
+    /// The id of the task being polled if `waker` is that task's own.
+    fn polling_task_of(&self, waker: &Waker) -> Option<TaskId> {
+        self.polling
+            .get()
+            .filter(|p| waker.data() == p.data && std::ptr::eq(waker.vtable(), p.vtable))
+            .map(|p| p.id)
+    }
+
+    fn target_for(&self, waker: &Waker) -> TimerTarget {
+        match self.polling_task_of(waker) {
+            Some(id) => TimerTarget::Task(id),
+            None => TimerTarget::Waker(waker.clone()),
         }
     }
 
     pub(crate) fn register_timer(&self, at: SimTime, waker: &Waker) -> TimerHandle {
-        let seq = self.next_timer_seq.get();
-        self.next_timer_seq.set(seq + 1);
-        let (slot, gen) = {
-            let mut slots = self.timer_slots.borrow_mut();
-            match self.timer_free.borrow_mut().pop() {
-                Some(slot) => {
-                    let s = &mut slots[slot as usize];
-                    debug_assert!(s.waker.is_none());
-                    s.waker = Some(waker.clone());
-                    (slot, s.gen)
-                }
-                None => {
-                    let slot = u32::try_from(slots.len()).expect("timer slab exhausted");
-                    slots.push(TimerSlot {
-                        gen: 0,
-                        waker: Some(waker.clone()),
-                    });
-                    (slot, 0)
-                }
-            }
-        };
-        self.timers
-            .borrow_mut()
-            .push(Reverse(TimerEntry { at, seq, slot, gen }));
-        TimerHandle { slot, gen }
+        let target = self.target_for(waker);
+        self.timers.borrow_mut().insert(at, target)
     }
 
     pub(crate) fn update_timer_waker(&self, handle: TimerHandle, waker: &Waker) {
-        let mut slots = self.timer_slots.borrow_mut();
-        let s = &mut slots[handle.slot as usize];
-        if s.gen == handle.gen {
-            match &mut s.waker {
-                Some(w) if w.will_wake(waker) => {}
-                slot_waker => *slot_waker = Some(waker.clone()),
-            }
+        let mut timers = self.timers.borrow_mut();
+        let Some(s) = timers.live(handle) else {
+            return;
+        };
+        match &mut s.target {
+            Some(TimerTarget::Task(id)) if self.polling_task_of(waker) == Some(*id) => {}
+            Some(TimerTarget::Waker(w)) if w.will_wake(waker) => {}
+            target => *target = Some(self.target_for(waker)),
         }
     }
 
     pub(crate) fn cancel_timer(&self, handle: TimerHandle) {
-        // The heap entry stays and is skipped on pop (generation mismatch);
-        // dropping the waker and bumping the generation neutralizes it.
-        {
-            let mut slots = self.timer_slots.borrow_mut();
-            let s = &mut slots[handle.slot as usize];
-            if s.gen != handle.gen {
-                return;
-            }
-            s.waker = None;
-            s.gen = s.gen.wrapping_add(1);
-            self.timer_free.borrow_mut().push(handle.slot);
-        }
-        self.stale_timers.set(self.stale_timers.get() + 1);
-        self.maybe_purge_timers();
-    }
-
-    /// Lazily compact the timer heap. Long chaos runs arm and cancel
-    /// huge numbers of retry timeouts, and every cancelled entry lingers
-    /// in the heap until its deadline floats to the top; once more than
-    /// half the entries are generation-stale, rebuild the heap keeping
-    /// only live ones. The O(len) rebuild amortizes against the
-    /// cancellations that created the dead weight; `desim.timers_purged`
-    /// counts the entries dropped.
-    fn maybe_purge_timers(&self) {
-        /// Below this size the dead weight cannot cost enough to be
-        /// worth a rebuild.
-        const MIN_HEAP_FOR_PURGE: usize = 64;
-        let stale = self.stale_timers.get();
-        let mut timers = self.timers.borrow_mut();
-        if timers.len() < MIN_HEAP_FOR_PURGE || stale * 2 <= timers.len() {
-            return;
-        }
-        let slots = self.timer_slots.borrow();
-        let before = timers.len();
-        let mut live = std::mem::take(&mut *timers).into_vec();
-        live.retain(|Reverse(e)| slots[e.slot as usize].gen == e.gen);
-        let purged = before - live.len();
-        *timers = BinaryHeap::from(live);
-        drop(slots);
-        drop(timers);
-        self.stale_timers.set(0);
-        self.obs
-            .metrics()
-            .count("desim.timers_purged", purged as u64);
+        self.timers.borrow_mut().cancel(handle);
     }
 }
 
@@ -1070,8 +1156,10 @@ mod tests {
         stale.borrow().as_ref().unwrap().wake_by_ref();
         sim.run();
         assert!(done.get());
-        // The stale wake costs no task poll (generation mismatch).
-        let _ = polls_before;
+        // The stale wake costs no task poll (generation mismatch): the
+        // recycled sleeper is polled once to arm its timer and once when
+        // the timer fires.
+        assert_eq!(sim.poll_count() - polls_before, 2);
     }
 
     #[test]
@@ -1083,7 +1171,7 @@ mod tests {
             }
         });
         sim.run_to_completion();
-        assert!(sim.inner.timer_slots.borrow().len() <= 4);
+        assert!(sim.inner.timers.borrow().slots.len() <= 4);
     }
 
     #[test]
@@ -1109,12 +1197,16 @@ mod tests {
     }
 
     #[test]
-    fn stale_timer_heap_is_purged_in_bulk() {
+    fn cancelled_timers_leave_the_queue_at_once() {
         let mut sim = Simulation::new(2);
         sim.spawn(async {
-            // Arm 256 far-future timers, then cancel them all by drop.
+            sleep(SimDuration::from_secs(500)).await;
+        });
+        sim.spawn(async {
+            // Arm 256 timers on both sides of the live one, then cancel
+            // them all by drop.
             let mut sleeps: Vec<_> = (0..256u64)
-                .map(|i| Box::pin(sleep(SimDuration::from_secs(100 + i))))
+                .map(|i| Box::pin(sleep(SimDuration::from_secs(100 + 2 * i))))
                 .collect();
             std::future::poll_fn(move |cx| {
                 for s in &mut sleeps {
@@ -1125,10 +1217,185 @@ mod tests {
             })
             .await;
         });
+        sim.run_until(SimTime::ZERO);
+        let live = SimTime::from_nanos(500_000_000_000);
+        let timers = sim.inner.timers.borrow();
+        assert_eq!(timers.heap.len(), 1, "only the live timer stays queued");
+        assert_eq!(timers.heap[0].at, live);
+        drop(timers);
+        assert_eq!(sim.next_event_time(), Some(live));
+        assert_eq!(sim.run(), live);
+    }
+
+    /// A waker that appends its label to a shared log when woken.
+    struct LabelWaker {
+        label: u64,
+        log: Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    impl Wake for LabelWaker {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.log.lock().expect("log poisoned").push(self.label);
+        }
+    }
+
+    fn drain(log: &std::sync::Mutex<Vec<u64>>) -> Vec<u64> {
+        std::mem::take(&mut *log.lock().expect("log poisoned"))
+    }
+
+    #[test]
+    fn timer_polled_under_a_foreign_waker_wakes_that_waker() {
+        let mut sim = Simulation::new(0);
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let foreign = Waker::from(Arc::new(LabelWaker {
+            label: 7,
+            log: log.clone(),
+        }));
+        let log2 = log.clone();
+        sim.spawn(async move {
+            let mut timer = Box::pin(sleep(SimDuration::from_millis(1)));
+            std::future::poll_fn(|_cx| {
+                let mut cx = Context::from_waker(&foreign);
+                assert!(timer.as_mut().poll(&mut cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            sleep(SimDuration::from_millis(2)).await;
+            // The timer fired through the foreign waker, not this task's.
+            assert_eq!(drain(&log2), [7]);
+            assert!(timer
+                .as_mut()
+                .poll(&mut Context::from_waker(&foreign))
+                .is_ready());
+        });
+        sim.run_to_completion();
+        assert!(drain(&log).is_empty());
+    }
+
+    #[test]
+    fn task_waker_woken_off_thread_panics() {
+        let mut sim = Simulation::new(0);
+        let captured: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+        let c2 = captured.clone();
+        sim.spawn(async move {
+            std::future::poll_fn(move |cx| {
+                *c2.borrow_mut() = Some(cx.waker().clone());
+                Poll::Ready(())
+            })
+            .await;
+        });
         sim.run();
-        // The lazy purge must have compacted the heap well below the 256
-        // armed entries and recorded what it dropped.
-        assert!(sim.inner.timers.borrow().len() < 64);
-        assert!(sim.obs().metrics().counter("desim.timers_purged") >= 128);
+        let waker = captured.borrow_mut().take().unwrap();
+        // mgrid-lint: allow(MG005) the test needs a second OS thread to wake from
+        let err = std::thread::spawn(move || waker.wake())
+            .join()
+            .expect_err("an off-thread wake must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            msg.contains("simulation waker used off the simulation's own thread"),
+            "unexpected panic message: {msg}"
+        );
+    }
+
+    #[test]
+    fn stale_timer_handles_are_inert() {
+        let mut sim = Simulation::new(0);
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let waker = |label| {
+            Waker::from(Arc::new(LabelWaker {
+                label,
+                log: log.clone(),
+            }))
+        };
+        let t = SimTime::from_nanos;
+        let a = sim.inner.register_timer(t(10), &waker(1));
+        sim.run_until(t(10));
+        assert_eq!(drain(&log), [1]);
+        // Cancelling (or re-arming) a timer that already fired is a no-op.
+        sim.inner.cancel_timer(a);
+        sim.inner.update_timer_waker(a, &waker(9));
+        // The next timer reuses the slot; the old handle must not touch it.
+        let b = sim.inner.register_timer(t(20), &waker(2));
+        assert_eq!(b.slot, a.slot);
+        sim.inner.cancel_timer(a);
+        sim.inner.update_timer_waker(a, &waker(9));
+        assert_eq!(sim.next_event_time(), Some(t(20)));
+        sim.run();
+        assert_eq!(drain(&log), [2]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        /// The indexed timer heap fires, re-arms and cancels exactly like a
+        /// naive ordered map keyed by `(deadline, registration seq)`.
+        /// Handles stay in the pick list after their timer fired or was
+        /// cancelled, so stale and recycled-slot handles are exercised too.
+        #[test]
+        fn timer_queue_matches_ordered_map_reference(
+            ops in proptest::prop::collection::vec((0u8..6, 0usize..1024, 1u64..1000), 1..200),
+        ) {
+            let mut sim = Simulation::new(0);
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut wakers: Vec<Waker> = Vec::new();
+            let new_waker = |wakers: &mut Vec<Waker>| {
+                let label = wakers.len() as u64;
+                wakers.push(Waker::from(Arc::new(LabelWaker { label, log: log.clone() })));
+                label
+            };
+            let mut reference: std::collections::BTreeMap<(SimTime, u64), u64> =
+                std::collections::BTreeMap::new();
+            let mut handles: Vec<(TimerHandle, (SimTime, u64))> = Vec::new();
+            let mut seq = 0;
+            for (op, pick, delay) in ops {
+                match op {
+                    // Half the ops register, so the heap grows deep.
+                    0..=2 => {
+                        let at = sim.now() + SimDuration::from_nanos(delay);
+                        let label = new_waker(&mut wakers);
+                        let h = sim.inner.register_timer(at, &wakers[label as usize]);
+                        reference.insert((at, seq), label);
+                        handles.push((h, (at, seq)));
+                        seq += 1;
+                    }
+                    3 if !handles.is_empty() => {
+                        let (h, key) = handles[pick % handles.len()];
+                        // Odd picks re-arm with the waker already stored.
+                        let label = match reference.get(&key) {
+                            Some(&label) if pick % 2 == 1 => label,
+                            _ => new_waker(&mut wakers),
+                        };
+                        sim.inner.update_timer_waker(h, &wakers[label as usize]);
+                        if let Some(v) = reference.get_mut(&key) {
+                            *v = label;
+                        }
+                    }
+                    4 if !handles.is_empty() => {
+                        let (h, key) = handles[pick % handles.len()];
+                        sim.inner.cancel_timer(h);
+                        reference.remove(&key);
+                    }
+                    _ => {
+                        if let Some(&(at, _)) = reference.keys().next() {
+                            sim.run_until(at);
+                            let due: Vec<_> = reference.keys().take_while(|k| k.0 == at).copied().collect();
+                            let expect: Vec<u64> =
+                                due.iter().map(|k| reference.remove(k).unwrap()).collect();
+                            proptest::prop_assert_eq!(drain(&log), expect);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(sim.next_event_time(), reference.keys().next().map(|k| k.0));
+            }
+            sim.run();
+            let rest: Vec<u64> = reference.values().copied().collect();
+            proptest::prop_assert_eq!(drain(&log), rest);
+        }
     }
 }
