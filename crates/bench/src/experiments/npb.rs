@@ -161,15 +161,26 @@ pub fn fig14_vbns() -> Report {
         "fig14",
         "NPB over the vBNS distributed cluster, varying the WAN bottleneck (class S)",
     );
+    // One scenario per (benchmark, bottleneck) run, collected in
+    // submission order.
+    let bws = [622e6, 155e6, 10e6];
+    let mut jobs: Vec<Scenario<f64>> = Vec::new();
     for bench in benches(false) {
-        let mut points = Vec::new();
-        for bw in [622e6, 155e6, 10e6] {
-            let r = run_npb(presets::vbns_grid(bw), Mode::MicroGrid, bench, NpbClass::S);
-            points.push((format!("{:.0}Mb/s", bw / 1e6), r.virtual_seconds));
+        for bw in bws {
+            jobs.push(Box::new(move || {
+                run_npb(presets::vbns_grid(bw), Mode::MicroGrid, bench, NpbClass::S).virtual_seconds
+            }));
         }
+    }
+    let times = run_scenarios(jobs);
+    for (bench, row) in benches(false).into_iter().zip(times.chunks(bws.len())) {
         rep.series.push(Series {
             label: bench.name().into(),
-            points,
+            points: bws
+                .iter()
+                .zip(row)
+                .map(|(bw, &t)| (format!("{:.0}Mb/s", bw / 1e6), t))
+                .collect(),
         });
     }
     rep.notes.push(

@@ -176,9 +176,10 @@ pub fn repro_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Scenario-shard count for within-figure parallelism: `MGRID_SHARDS`
-/// if set (minimum 1), otherwise 1 — the sequential engine. See
-/// `docs/PARALLEL.md` for tuning guidance.
+/// Scenario-pool worker count for within-figure parallelism:
+/// `MGRID_SHARDS` if set (minimum 1), otherwise 1 — every scenario in
+/// order on the calling thread. See `docs/PARALLEL.md` for tuning
+/// guidance.
 pub fn shard_count() -> usize {
     std::env::var("MGRID_SHARDS")
         .ok()
@@ -190,16 +191,16 @@ pub fn shard_count() -> usize {
 /// A type-erased independent scenario of one figure.
 pub type Scenario<R> = Box<dyn FnOnce() -> R + Send>;
 
-/// Run one figure's independent scenarios on the sharded engine's job
-/// pool ([`mgrid_desim::shard::run_jobs`] via the `microgrid` re-export),
+/// Run one figure's independent scenarios on the scenario pool
+/// ([`mgrid_desim::shard::run_jobs`] via the `microgrid` re-export),
 /// honouring [`shard_count`].
 ///
 /// Results come back in submission order and each scenario is a
 /// self-contained deterministic simulation, so the figure is
-/// byte-identical at every shard count. Per-scenario metrics are captured
+/// byte-identical at every worker count. Per-scenario metrics are captured
 /// on the worker that ran the scenario and folded into this thread's
 /// accumulator; [`MetricsSnapshot::merge`] is commutative and
-/// associative, so the merged figure snapshot is also shard-invariant.
+/// associative, so the merged figure snapshot is also worker-invariant.
 pub fn run_scenarios<R: Send + 'static>(jobs: Vec<Scenario<R>>) -> Vec<R> {
     SCENARIOS.with(|c| c.set(c.get() + jobs.len()));
     let shards = shard_count();

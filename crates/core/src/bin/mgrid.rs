@@ -26,10 +26,7 @@
 //! JSON file loadable at <https://ui.perfetto.dev> (see
 //! `docs/OBSERVABILITY.md`).
 //!
-//! `MGRID_SHARDS=<n>` routes the run through the deterministic sharded
-//! engine (the workload shard plus idle companions); all tables and the
-//! trace file are byte-identical to the sequential run, and the
-//! Perfetto export additionally gains per-shard epoch lanes.
+//! A run is one [`Simulation::block_on`] on the calling thread.
 
 use std::collections::BTreeMap;
 use std::future::Future;
@@ -40,8 +37,6 @@ use microgrid::apps::npb::{self, NpbBenchmark, NpbClass, NpbResult};
 use microgrid::apps::wavetoy::{self, WaveToyConfig, WaveToyResult};
 use microgrid::desim::metrics::MetricsSnapshot;
 use microgrid::desim::obs::Obs;
-use microgrid::desim::shard::{run_sharded_stats, EpochStats, ShardHandle, ShardPlan, ShardRun};
-use microgrid::desim::time::SimDuration;
 use microgrid::desim::{perfetto, profile, Simulation, SpanSnapshot};
 use microgrid::mpi::MpiParams;
 use microgrid::{plan_rate, presets, GridConfig, VirtualGrid};
@@ -98,7 +93,6 @@ fn usage() -> ! {
 }
 
 /// Observability options of `mgrid run`.
-#[derive(Clone)]
 struct ObsOpts {
     trace_out: Option<String>,
     profile_out: Option<String>,
@@ -141,23 +135,19 @@ fn parse_obs_opts(args: &[String]) -> (Vec<String>, ObsOpts) {
 }
 
 /// Everything the observability layer recorded, snapshotted at the
-/// instant the root workload completed (and the [`Obs`] was sealed), so
-/// the report is byte-identical whether or not the sharded engine
-/// overran the root by part of an epoch window.
+/// instant the root workload completed.
 struct ObsCapture {
     metrics: MetricsSnapshot,
     spans: SpanSnapshot,
 }
 
-/// Seal the observability layer and snapshot it. Called as the root
-/// workload's final act, while still inside the simulation: sealing
-/// first stops the span store, so nothing recorded after this instant —
-/// by daemons the sharded engine may still run until its epoch horizon
-/// — can reach the capture.
-fn capture_obs(obs: &Obs, opts: &ObsOpts) -> ObsCapture {
-    obs.seal();
+/// Snapshot the observability layer. Called as the root workload's
+/// final act, while still inside the simulation, so nothing daemons
+/// record after the root completes can reach the capture. `tally`
+/// adds the `trace.*` counters of the span snapshot to the metrics.
+fn capture_obs(obs: &Obs, tally: bool) -> ObsCapture {
     let spans = obs.spans().snapshot();
-    if opts.spans() {
+    if tally {
         let m = obs.metrics();
         m.count("trace.spans", spans.spans.len() as u64);
         if spans.dropped > 0 {
@@ -177,77 +167,27 @@ fn capture_obs(obs: &Obs, opts: &ObsOpts) -> ObsCapture {
     }
 }
 
-/// Shard count for `mgrid run`: `MGRID_SHARDS` (default 1, clamped to
-/// at least 1). Values above 1 add idle companion shards alongside the
-/// workload shard, exercising the sharded engine's epoch machinery.
-fn shard_count() -> usize {
-    std::env::var("MGRID_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-type Factory<R> =
-    Box<dyn FnOnce(ShardHandle<()>) -> ShardRun<(), Option<(Vec<R>, ObsCapture)>> + Send>;
-
-/// Boxed entry point handed to [`execute`]: builds the root future once
-/// the simulation context is live.
-type Work<R> = Box<dyn FnOnce() -> Pin<Box<dyn Future<Output = Vec<R>>>> + Send>;
-
-/// Run `work` to completion under the observability options, either
-/// inline (`MGRID_SHARDS` unset or 1 — byte-identical to
-/// [`Simulation::block_on`]) or on the sharded engine with idle
-/// companion shards. Returns the workload results, the sealed
-/// observability capture, and the engine's epoch stats (empty records
-/// for the inline path).
-fn execute<R: Send + 'static>(
+/// Run `work` as the root task of a fresh simulation under the
+/// observability options. Returns the workload results and the
+/// observability capture taken at root completion.
+fn execute<R: 'static>(
     seed: u64,
     opts: &ObsOpts,
-    work: Work<R>,
-) -> (Vec<R>, ObsCapture, EpochStats) {
-    let shards = shard_count();
-    let opts2 = opts.clone();
-    let workload: Factory<R> = Box::new(move |_h| {
-        let sim = Simulation::new(seed);
-        let obs = sim.obs().clone();
-        if opts2.spans() {
-            obs.enable_spans();
-        }
-        let out = std::rc::Rc::new(std::cell::RefCell::new(None));
-        let out2 = out.clone();
-        let root = sim.spawn(async move {
-            let results = work().await;
-            let capture = capture_obs(&obs, &opts2);
-            *out2.borrow_mut() = Some((results, capture));
-        });
-        ShardRun {
-            sim,
-            deliver: Box::new(|_, _| {}),
-            root_done: Box::new(move || root.is_finished()),
-            advise: None,
-            finish: Box::new(move |_sim| out.borrow_mut().take()),
-        }
-    });
-    let mut factories = vec![workload];
-    for _ in 1..shards {
-        factories.push(Box::new(move |_h: ShardHandle<()>| ShardRun {
-            sim: Simulation::new(0),
-            deliver: Box::new(|_, _| {}),
-            root_done: Box::new(|| true),
-            advise: None,
-            finish: Box::new(|_sim| None),
-        }) as Factory<R>);
+    work: impl Future<Output = Vec<R>> + 'static,
+) -> (Vec<R>, ObsCapture) {
+    let mut sim = Simulation::new(seed);
+    let obs = sim.obs().clone();
+    let spans = opts.spans();
+    if spans {
+        obs.enable_spans();
     }
-    let plan = ShardPlan::connected(shards, SimDuration::from_secs(1)).with_epoch_log();
-    let (mut outs, stats) = run_sharded_stats(plan, factories);
-    let (results, capture) = outs
-        .swap_remove(0)
-        .expect("workload shard finished without producing a result");
-    (results, capture, stats)
+    sim.block_on(async move {
+        let results = work.await;
+        (results, capture_obs(&obs, spans))
+    })
 }
 
-/// Write the sealed span snapshot as JSON lines to `path`.
+/// Write the span snapshot as JSON lines to `path`.
 fn write_trace(spans: &SpanSnapshot, path: &str) -> std::io::Result<()> {
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
     spans.write_json_lines(&mut w)?;
@@ -257,7 +197,7 @@ fn write_trace(spans: &SpanSnapshot, path: &str) -> std::io::Result<()> {
 /// After a run: write the JSON-lines trace, print the profiler
 /// attribution and critical-path tables plus write the Perfetto export
 /// (when profiling), and print the metrics summary.
-fn report_run(capture: &ObsCapture, stats: &EpochStats, opts: &ObsOpts) {
+fn report_run(capture: &ObsCapture, opts: &ObsOpts) {
     if let Some(path) = &opts.trace_out {
         if let Err(e) = write_trace(&capture.spans, path) {
             eprintln!("cannot write trace to {path}: {e}");
@@ -275,7 +215,7 @@ fn report_run(capture: &ObsCapture, stats: &EpochStats, opts: &ObsOpts) {
         let cp = profile::critical_path(&capture.spans);
         println!("-- critical path --");
         print!("{}", cp.to_table());
-        let json = perfetto::export(&capture.spans, &stats.records);
+        let json = perfetto::export(&capture.spans);
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write profile to {path}: {e}");
             std::process::exit(1);
@@ -365,26 +305,20 @@ fn run_cmd(args: &[String]) {
             grid_edge: edge,
             steps: 100,
         };
-        let (results, capture, stats) = execute(
-            seed,
-            &obs_opts,
-            Box::new(move || {
-                Box::pin(async move {
-                    let grid = build(config, baseline);
-                    grid.mpirun_all(MpiParams::default(), move |comm| {
-                        Box::pin(wavetoy::run(comm, wt, None))
-                            as Pin<Box<dyn Future<Output = WaveToyResult>>>
-                    })
-                    .await
-                })
-            }),
-        );
+        let (results, capture) = execute(seed, &obs_opts, async move {
+            let grid = build(config, baseline);
+            grid.mpirun_all(MpiParams::default(), move |comm| {
+                Box::pin(wavetoy::run(comm, wt, None))
+                    as Pin<Box<dyn Future<Output = WaveToyResult>>>
+            })
+            .await
+        });
         let r = &results[0];
         println!(
             "wavetoy {}^3: {:.3} virtual s, energy drift {:.4}, verified {}",
             r.grid_edge, r.virtual_seconds, r.energy_drift, r.verified
         );
-        report_run(&capture, &stats, &obs_opts);
+        report_run(&capture, &obs_opts);
         return;
     }
 
@@ -406,20 +340,13 @@ fn run_cmd(args: &[String]) {
         Some("A") | Some("a") => NpbClass::A,
         _ => NpbClass::S,
     };
-    let (results, capture, stats) = execute(
-        seed,
-        &obs_opts,
-        Box::new(move || {
-            Box::pin(async move {
-                let grid = build(config, baseline);
-                grid.mpirun_all(MpiParams::default(), move |comm| {
-                    Box::pin(npb::run(bench, comm, class, None))
-                        as Pin<Box<dyn Future<Output = NpbResult>>>
-                })
-                .await
-            })
-        }),
-    );
+    let (results, capture) = execute(seed, &obs_opts, async move {
+        let grid = build(config, baseline);
+        grid.mpirun_all(MpiParams::default(), move |comm| {
+            Box::pin(npb::run(bench, comm, class, None)) as Pin<Box<dyn Future<Output = NpbResult>>>
+        })
+        .await
+    });
     let r = &results[0];
     println!(
         "{} class {}: {:.3} virtual s on {} ranks, verified {}",
@@ -429,7 +356,7 @@ fn run_cmd(args: &[String]) {
         r.ranks,
         r.verified
     );
-    report_run(&capture, &stats, &obs_opts);
+    report_run(&capture, &obs_opts);
 }
 
 fn build(config: GridConfig, baseline: bool) -> VirtualGrid {

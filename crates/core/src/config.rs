@@ -84,10 +84,9 @@ pub struct GridConfig {
     /// faults). Ignored on baseline grids: the physical-grid condition has
     /// no fault injector to compare against.
     pub faults: Option<FaultPlan>,
-    /// Number of logical shards for parallel execution (`None` or `1` =
-    /// the sequential engine). The partitioner ([`crate::partition`])
-    /// groups virtual hosts by physical host and cuts the highest-latency
-    /// links; older configs without this field parse as `None`.
+    /// Parsed but ignored: every grid runs in one simulation. The field
+    /// stays so that configs written with a `"shards"` key, and code
+    /// that builds a `GridConfig` literal with it, keep working.
     pub shards: Option<usize>,
 }
 
@@ -114,6 +113,9 @@ pub enum ConfigError {
     /// A fault-plan event is malformed: bad parameters or a reference to
     /// a name the grid does not define.
     InvalidFault(String),
+    /// A link has a non-finite or non-positive bandwidth, or joins a node
+    /// to itself.
+    InvalidLink(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -130,6 +132,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "host {h:?} declares a non-positive CPU speed")
             }
             ConfigError::InvalidFault(why) => write!(f, "invalid fault plan: {why}"),
+            ConfigError::InvalidLink(why) => write!(f, "invalid link: {why}"),
         }
     }
 }
@@ -138,8 +141,9 @@ impl std::error::Error for ConfigError {}
 
 impl GridConfig {
     /// Check referential integrity (names resolve, no duplicates, speeds
-    /// positive) and, when a fault plan is present, that every fault has
-    /// sound parameters and targets a name the grid defines.
+    /// positive), that every link has a finite positive bandwidth and two
+    /// distinct ends, and, when a fault plan is present, that every fault
+    /// has sound parameters and targets a name the grid defines.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let mut seen = mgrid_desim::FxHashSet::default();
         for p in &self.physical_hosts {
@@ -175,6 +179,18 @@ impl GridConfig {
                     return Err(ConfigError::UnknownNode(end.clone()));
                 }
             }
+            if !l.bandwidth_bps.is_finite() || l.bandwidth_bps <= 0.0 {
+                return Err(ConfigError::InvalidLink(format!(
+                    "{}-{} bandwidth {} b/s is not a finite positive number",
+                    l.a, l.b, l.bandwidth_bps
+                )));
+            }
+            if l.a == l.b {
+                return Err(ConfigError::InvalidLink(format!(
+                    "{}-{} joins a node to itself",
+                    l.a, l.b
+                )));
+            }
         }
         if let Some(plan) = &self.faults {
             plan.check_params().map_err(ConfigError::InvalidFault)?;
@@ -195,20 +211,6 @@ impl GridConfig {
             }
         }
         Ok(())
-    }
-
-    /// Effective shard count: `shards`, clamped to at least 1.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let mut c = microgrid::presets::alpha_cluster();
-    /// assert_eq!(c.shard_count(), 1); // presets default to sequential
-    /// c.shards = Some(4);
-    /// assert_eq!(c.shard_count(), 4);
-    /// ```
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1).max(1)
     }
 
     /// Names of all virtual hosts, in configuration order.
@@ -303,6 +305,41 @@ mod tests {
             c.validate(),
             Err(ConfigError::NonPositiveSpeed("phys0".into()))
         );
+    }
+
+    #[test]
+    fn invalid_link_rejected() {
+        for bw in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut c = sample();
+            c.network.links[0].bandwidth_bps = bw;
+            assert!(
+                matches!(c.validate(), Err(ConfigError::InvalidLink(_))),
+                "bandwidth {bw} accepted"
+            );
+        }
+        let mut c = sample();
+        c.network.links[0].b = "vm0".into();
+        assert!(matches!(c.validate(), Err(ConfigError::InvalidLink(_))));
+    }
+
+    #[test]
+    fn build_returns_invalid_link_instead_of_panicking() {
+        let mut zero_bw = crate::presets::alpha_cluster();
+        zero_bw.network.links[0].bandwidth_bps = 0.0;
+        let mut self_link = crate::presets::alpha_cluster();
+        let a = self_link.network.links[0].a.clone();
+        self_link.network.links[0].b = a;
+        for c in [zero_bw, self_link] {
+            let mut sim = mgrid_desim::Simulation::new(1);
+            let (grid, baseline) = sim.block_on(async move {
+                (
+                    crate::VirtualGrid::build(c.clone()).err(),
+                    crate::VirtualGrid::build_baseline(c).err(),
+                )
+            });
+            assert!(matches!(grid, Some(ConfigError::InvalidLink(_))));
+            assert!(matches!(baseline, Some(ConfigError::InvalidLink(_))));
+        }
     }
 
     #[test]

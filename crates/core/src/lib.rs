@@ -31,7 +31,6 @@
 pub mod config;
 pub mod coordinator;
 pub mod grid;
-pub mod partition;
 pub mod presets;
 pub mod report;
 

@@ -53,16 +53,6 @@ impl Obs {
     pub fn enable_spans(&self) {
         self.spans.set_enabled(true);
     }
-
-    /// Freeze the span store in place.
-    ///
-    /// Called at the instant a run's root workload completes, so any
-    /// trailing daemon activity (the sharded engine may run a shard a
-    /// little past root completion, to its epoch horizon) records
-    /// nothing and sequential vs sharded output stays byte-identical.
-    pub fn seal(&self) {
-        self.spans.set_enabled(false);
-    }
 }
 
 impl Default for Obs {

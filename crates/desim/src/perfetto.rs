@@ -1,7 +1,6 @@
 //! Chrome trace-event / Perfetto JSON export.
 //!
-//! Renders a [`SpanSnapshot`] (plus optional shard-epoch records) into
-//! the Chrome trace-event JSON format that
+//! Renders a [`SpanSnapshot`] into the Chrome trace-event JSON format that
 //! <https://ui.perfetto.dev> and `chrome://tracing` load directly:
 //!
 //! - every span track (virtual host) becomes a Perfetto *process* row
@@ -9,10 +8,7 @@
 //!   with `"X"` complete events for the spans themselves and `"i"`
 //!   instant ticks for marks, each on its own host row;
 //! - resolved flow edges become `"s"`/`"f"` flow arrows from the
-//!   producing span to the consuming span;
-//! - [`EpochRecord`]s from the sharded engine become run/idle slices on
-//!   one lane per shard under a `shard-engine` process, making barrier
-//!   behaviour visually debuggable next to the causal spans.
+//!   producing span to the consuming span.
 //!
 //! The output is hand-rolled (no serde), sharing its string escaper with
 //! [`crate::span::SpanSnapshot::write_json_lines`]: identical inputs produce
@@ -23,7 +19,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::shard::EpochRecord;
 use crate::span::{JsonStr, SpanSnapshot};
 
 /// Nanoseconds rendered as trace-event microseconds (`"12.345"`).
@@ -33,10 +28,9 @@ fn ts_us(ns: u64) -> String {
 
 /// Build the complete Chrome trace-event JSON document.
 ///
-/// `epochs` adds the shard-engine lanes (pass `&[]` for a sequential
-/// run). The result is a pure function of its inputs: same snapshot,
-/// same bytes.
-pub fn export(snap: &SpanSnapshot, epochs: &[EpochRecord]) -> String {
+/// The result is a pure function of the snapshot: same snapshot, same
+/// bytes.
+pub fn export(snap: &SpanSnapshot) -> String {
     // Deterministic pid/tid assignment: tracks sorted by name, lanes
     // sorted within each track, both 1-based.
     let mut tracks: BTreeMap<&str, BTreeMap<&str, usize>> = BTreeMap::new();
@@ -53,7 +47,6 @@ pub fn export(snap: &SpanSnapshot, epochs: &[EpochRecord]) -> String {
             *tid = t + 1;
         }
     }
-    let engine_pid = tracks.len() + 1;
 
     let mut recs: Vec<String> = Vec::new();
 
@@ -71,19 +64,6 @@ pub fn export(snap: &SpanSnapshot, epochs: &[EpochRecord]) -> String {
             ));
         }
     }
-    if !epochs.is_empty() {
-        let shards = epochs[0].horizons.len();
-        recs.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{engine_pid},\"args\":{{\"name\":\"shard-engine\"}}}}"
-        ));
-        for d in 0..shards {
-            recs.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{engine_pid},\"tid\":{},\"args\":{{\"name\":\"shard{d}\"}}}}",
-                d + 1
-            ));
-        }
-    }
-
     // Span slices and mark ticks, in record order.
     for s in &snap.spans {
         let Some(end) = s.end else { continue };
@@ -141,34 +121,6 @@ pub fn export(snap: &SpanSnapshot, epochs: &[EpochRecord]) -> String {
             pid_of[to.track.as_ref()],
             tracks[to.track.as_ref()][to.lane.as_ref()],
         ));
-    }
-
-    // Shard-epoch lanes: one run/idle slice per shard per round,
-    // spanning from the previous round's horizon to this one's.
-    if !epochs.is_empty() {
-        let shards = epochs[0].horizons.len();
-        let mut prev = vec![0u64; shards];
-        for (round, rec) in epochs.iter().enumerate() {
-            for (d, last) in prev.iter_mut().enumerate() {
-                let h = rec.horizons.get(d).copied().unwrap_or(u64::MAX);
-                if h == u64::MAX || h <= *last {
-                    continue;
-                }
-                let name = if rec.ran.get(d).copied().unwrap_or(false) {
-                    "run"
-                } else {
-                    "idle"
-                };
-                recs.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{engine_pid},\"tid\":{},\"args\":{{\"round\":{}}}}}",
-                    ts_us(*last),
-                    ts_us(h - *last),
-                    d + 1,
-                    round + 1,
-                ));
-                *last = h;
-            }
-        }
     }
 
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -234,8 +186,8 @@ mod tests {
     #[test]
     fn export_is_byte_stable_and_shapes_right() {
         let snap = sample();
-        let one = export(&snap, &[]);
-        let two = export(&snap, &[]);
+        let one = export(&snap);
+        let two = export(&snap);
         assert_eq!(one, two);
         // pids follow sorted track order: alpha0=1, beta0=2.
         assert!(one.contains(
@@ -245,28 +197,6 @@ mod tests {
         // One flow pair, producer anchored at the send begin.
         assert!(one.contains("\"cat\":\"flow\",\"ph\":\"s\",\"id\":1,\"ts\":11.500,\"pid\":1"));
         assert!(one.contains("\"ph\":\"f\",\"bp\":\"e\",\"id\":1,\"ts\":14.000,\"pid\":2"));
-    }
-
-    #[test]
-    fn epoch_records_become_engine_lanes() {
-        let epochs = vec![
-            EpochRecord {
-                horizons: vec![5_000, 5_000],
-                ran: vec![true, false],
-            },
-            EpochRecord {
-                horizons: vec![9_000, u64::MAX],
-                ran: vec![true, true],
-            },
-        ];
-        let out = export(&SpanSnapshot::default(), &epochs);
-        assert!(out.contains("\"name\":\"shard-engine\""));
-        assert!(out.contains(
-            "\"name\":\"run\",\"cat\":\"epoch\",\"ph\":\"X\",\"ts\":0.000,\"dur\":5.000"
-        ));
-        assert!(out.contains("\"name\":\"idle\",\"cat\":\"epoch\""));
-        // The unbounded (u64::MAX) horizon produced no slice.
-        assert_eq!(out.matches("\"cat\":\"epoch\"").count(), 3);
     }
 
     #[test]
@@ -281,7 +211,7 @@ mod tests {
             "mem",
             "requested=9",
         );
-        let out = export(&st.snapshot(), &[]);
+        let out = export(&st.snapshot());
         assert!(out.contains(
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"beta0\"}}"
         ));

@@ -1,55 +1,42 @@
-//! Deterministic sharded parallel simulation (conservative PDES).
+//! Worker pools for parallel simulation.
 //!
 //! This is the **one sanctioned parallel runtime** of the simulation core:
 //! everything else in `mgrid-desim` is single-threaded by construction
-//! (and mgrid-lint's MG005 enforces that). The sharded engine runs N
-//! *logical processes* (shards) — each an ordinary, fully deterministic
-//! [`Simulation`] — on a fixed-size worker pool, and synchronizes them
-//! with **event-driven conservative epochs**:
+//! (and mgrid-lint's MG005 enforces that). It offers two entry points:
 //!
-//! * Every shard owns one `Simulation`, created **on its worker thread**
-//!   (the executor's ready queue is owner-thread checked) and never
-//!   migrated.
-//! * Shards exchange timestamped messages through per-`(src, dst)`
-//!   double-buffered exchange cells (`crate::exchange`): a batch is
-//!   published with one atomic pointer swap before the barrier and
-//!   drained with another after it — no locks anywhere on the epoch
-//!   path. A message exported at virtual time `t` must arrive no
-//!   earlier than `t + lookahead(src, dst)`, where the per-pair
-//!   lookahead is the minimum latency across that edge of the cut
-//!   (exported by `mgrid-netsim` / `microgrid::partition` for grid
-//!   topologies).
-//! * Each barrier round all-reduces every shard's earliest possible
-//!   activity (next local event or earliest in-flight import) and gives
-//!   each shard its own **horizon**: the earliest instant any chain of
-//!   cross-shard messages could still reach it. The epoch floor jumps
-//!   straight to the global minimum next-event time — empty virtual
-//!   time costs one round, never `gap / lookahead` rounds — and a shard
-//!   with nothing before its horizon parks on the barrier without
-//!   touching its executor at all.
-//! * A shard may additionally publish [`LookaheadAdvice`] widening its
-//!   static lookahead while faults keep the fast cut links down; the
-//!   engine clamps every window at the advice validity floor so a claim
-//!   is always re-examined before it can expire.
-//! * Imports merge into each shard **sorted by `(time, from_shard,
-//!   seq)`** and are injected at their exact arrival time. Within one
-//!   shard the injection order therefore never depends on thread
-//!   scheduling, which makes an N-shard run byte-identical to the
-//!   1-shard run.
+//! * [`run_jobs`] — the scenario pool. Each job is a whole, independent
+//!   [`Simulation`]; jobs are claimed from a lock-free ticket counter and
+//!   results come back in submission order, so output never depends on
+//!   the worker count. The bench layer's `run_scenarios` drives every
+//!   figure's independent runs through it under `MGRID_SHARDS`.
+//! * [`run_sharded`] — a conservative barrier-epoch engine for *connected*
+//!   logical processes (shards). Every shard owns one `Simulation`,
+//!   created on its worker thread and never migrated. Shards exchange
+//!   timestamped messages through per-`(src, dst)` double-buffered
+//!   exchange cells (`crate::exchange`); a message exported at virtual
+//!   time `t` must arrive no earlier than `t + lookahead`. Each barrier
+//!   round all-reduces every shard's earliest possible activity and
+//!   gives each shard its own **horizon** — the earliest instant any
+//!   chain of cross-shard messages could still reach it — so empty
+//!   virtual time costs one round and a shard with nothing before its
+//!   horizon parks without touching its executor. Imports merge into
+//!   each shard sorted by `(time, from_shard, seq)`, which makes the run
+//!   independent of thread scheduling. No figure or CLI path splits a
+//!   grid across shards; the engine's only in-tree callers are the
+//!   barrier-round cost probes of `emubench` and `perf`.
 //!
-//! With `shards = 1` (or a plan with no edges and one job) the engine
-//! runs entirely inline on the calling thread — no threads, no barriers,
-//! no mailboxes — and is the same event loop as [`Simulation::run`], so
-//! sequential behaviour is bit-for-bit unchanged.
+//! With `shards = 1` the engine runs entirely inline on the calling
+//! thread — no threads, no barriers, no mailboxes — and is the same event
+//! loop as [`Simulation::run`].
 //!
-//! See `docs/PARALLEL.md` for the determinism argument, the horizon
-//! fixpoint, and tuning notes (`MGRID_SHARDS`).
+//! See `docs/PARALLEL.md` for the scenario pool, the horizon fixpoint and
+//! the memory-ordering invariants.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
 use crate::exchange::{ExchangeCell, SlotVec};
 use crate::executor::Simulation;
@@ -59,14 +46,7 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     shards: usize,
-    lookahead: Option<SimDuration>,
-    max_workers: usize,
-    /// Flattened `shards × shards` per-pair lookahead in nanoseconds,
-    /// row-major by source; `u64::MAX` marks a pair with no direct edge.
-    matrix: Option<Arc<[u64]>>,
-    /// Record one [`EpochRecord`] per barrier round (see
-    /// [`ShardPlan::with_epoch_log`]).
-    log_epochs: bool,
+    lookahead: SimDuration,
 }
 
 impl ShardPlan {
@@ -84,105 +64,7 @@ impl ShardPlan {
             !lookahead.is_zero(),
             "conservative sharding requires a strictly positive lookahead"
         );
-        ShardPlan {
-            shards,
-            lookahead: Some(lookahead),
-            max_workers: usize::MAX,
-            matrix: None,
-            log_epochs: false,
-        }
-    }
-
-    /// A plan whose shards never communicate (no cross-shard edges, so
-    /// the lookahead is effectively infinite and each shard runs to
-    /// completion in a single epoch). This is the degenerate plan behind
-    /// [`run_jobs`] — independent scenarios of one benchmark figure.
-    pub fn independent(shards: usize) -> Self {
-        assert!(shards > 0, "a plan needs at least one shard");
-        ShardPlan {
-            shards,
-            lookahead: None,
-            max_workers: usize::MAX,
-            matrix: None,
-            log_epochs: false,
-        }
-    }
-
-    /// Record one [`EpochRecord`] per barrier round into
-    /// [`EpochStats::records`] — the per-shard horizon/activity log the
-    /// Perfetto exporter renders as shard-epoch lanes. Off by default:
-    /// the log grows with the number of rounds, which the regular
-    /// benchmark paths don't want to pay for.
-    pub fn with_epoch_log(mut self) -> Self {
-        self.log_epochs = true;
-        self
-    }
-
-    /// Cap the worker pool at `n` threads. Shards are statically
-    /// assigned round-robin (`shard % workers`), so a smaller pool
-    /// multiplexes several shards per worker without affecting results.
-    pub fn with_max_workers(mut self, n: usize) -> Self {
-        assert!(n > 0, "the worker pool needs at least one thread");
-        self.max_workers = n;
-        self
-    }
-
-    /// Refine a connected plan with a per-`(src, dst)` lookahead matrix:
-    /// `matrix[src][dst]` is the minimum latency of the direct cut links
-    /// from shard `src` to shard `dst`, or `None` when no direct edge
-    /// joins the pair (such pairs exchange no traffic — cross-shard
-    /// messages always leave through a direct cut link). Wider per-pair
-    /// bounds give distant shards larger safe windows than the single
-    /// global minimum would.
-    ///
-    /// # Panics
-    /// Panics on a non-square matrix, on a plan without a lookahead
-    /// (use [`ShardPlan::connected`]), or on an off-diagonal entry below
-    /// the plan's global lookahead (the global value must stay the
-    /// minimum over the matrix).
-    pub fn with_lookahead_matrix(mut self, matrix: Vec<Vec<Option<SimDuration>>>) -> Self {
-        let la = self
-            .lookahead
-            .expect("per-pair lookahead requires a connected plan");
-        assert_eq!(matrix.len(), self.shards, "matrix must be shards × shards");
-        let mut flat = Vec::with_capacity(self.shards * self.shards);
-        for (s, row) in matrix.iter().enumerate() {
-            assert_eq!(row.len(), self.shards, "matrix must be shards × shards");
-            for (d, cell) in row.iter().enumerate() {
-                flat.push(match cell {
-                    Some(l) => {
-                        assert!(
-                            s == d || *l >= la,
-                            "pair lookahead ({s},{d}) is below the plan's global lookahead"
-                        );
-                        l.as_nanos()
-                    }
-                    None => u64::MAX,
-                });
-            }
-        }
-        self.matrix = Some(flat.into());
-        self
-    }
-
-    /// Number of shards in the plan.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The conservative lookahead, `None` for independent shards.
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
-    }
-
-    /// Conservative lookahead from `src` to `dst` in nanoseconds: the
-    /// matrix entry when one was provided, the global lookahead
-    /// otherwise; `u64::MAX` when the pair exchanges no traffic.
-    fn pair_lookahead_ns(&self, src: usize, dst: usize) -> u64 {
-        match &self.matrix {
-            Some(m) => m[src * self.shards + dst],
-            None => self.lookahead.map_or(u64::MAX, SimDuration::as_nanos),
-        }
+        ShardPlan { shards, lookahead }
     }
 }
 
@@ -232,8 +114,7 @@ struct Export<M> {
 pub struct ShardHandle<M> {
     shard_id: usize,
     shards: usize,
-    lookahead: Option<SimDuration>,
-    matrix: Option<Arc<[u64]>>,
+    lookahead: SimDuration,
     outbox: Rc<RefCell<Vec<Export<M>>>>,
     /// Per-destination FIFO sequence counters.
     seqs: Rc<Vec<Cell<u64>>>,
@@ -245,7 +126,6 @@ impl<M> Clone for ShardHandle<M> {
             shard_id: self.shard_id,
             shards: self.shards,
             lookahead: self.lookahead,
-            matrix: self.matrix.clone(),
             outbox: self.outbox.clone(),
             seqs: self.seqs.clone(),
         }
@@ -258,7 +138,6 @@ impl<M> ShardHandle<M> {
             shard_id,
             shards: plan.shards,
             lookahead: plan.lookahead,
-            matrix: plan.matrix.clone(),
             outbox: Rc::new(RefCell::new(Vec::new())),
             seqs: Rc::new((0..plan.shards).map(|_| Cell::new(0)).collect()),
         }
@@ -280,26 +159,20 @@ impl<M> ShardHandle<M> {
     /// simulation clock to check the lookahead contract).
     ///
     /// # Panics
-    /// Panics if `time` violates the plan's lookahead for the
-    /// `(self, to)` pair — i.e. the message would arrive inside an epoch
-    /// window a peer may currently be executing, which would break
-    /// determinism.
+    /// Panics if `time` violates the plan's lookahead — i.e. the message
+    /// would arrive inside an epoch window a peer may currently be
+    /// executing, which would break determinism.
     pub fn export(&self, to: usize, time: SimTime, msg: M) {
         assert!(to < self.shards, "export to unknown shard {to}");
         assert_ne!(to, self.shard_id, "a shard cannot export to itself");
-        if self.lookahead.is_some() {
-            let now = crate::executor::now();
-            let pair_ns = self.matrix.as_ref().map_or_else(
-                || self.lookahead.unwrap().as_nanos(),
-                |m| m[self.shard_id * self.shards + to],
-            );
-            assert!(
-                time.as_nanos() >= now.as_nanos().saturating_add(pair_ns),
-                "lookahead violation: export from shard {} at {now} arriving {time} \
-                 before the shard-{to} lookahead ({pair_ns} ns) elapses",
-                self.shard_id,
-            );
-        }
+        let now = crate::executor::now();
+        let la_ns = self.lookahead.as_nanos();
+        assert!(
+            time.as_nanos() >= now.as_nanos().saturating_add(la_ns),
+            "lookahead violation: export from shard {} at {now} arriving {time} \
+             before the shard-{to} lookahead ({la_ns} ns) elapses",
+            self.shard_id,
+        );
         let seq = self.seqs[to].get();
         self.seqs[to].set(seq + 1);
         self.outbox.borrow_mut().push(Export {
@@ -328,12 +201,10 @@ pub type LookaheadFn = Box<dyn Fn(SimTime) -> LookaheadAdvice>;
 
 /// Adaptive lookahead advice, published by a shard at each barrier round.
 ///
-/// The static per-pair lookahead of a [`ShardPlan`] is the minimum
-/// latency of the cut assuming *every* cut link can carry traffic. When
-/// fault events down the fast links on the cut, the surviving (or
-/// still-draining) links may be much slower, and a shard that knows
-/// this can widen everyone's epoch windows by promising a larger bound
-/// on its own future exports.
+/// The static lookahead of a [`ShardPlan`] is a worst-case bound over
+/// the whole run. A shard that knows its exports are currently slower
+/// can widen everyone's epoch windows by promising a larger bound on
+/// its own future exports.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LookaheadAdvice {
     /// A lower bound on `arrival − send` for every export this shard
@@ -341,12 +212,10 @@ pub struct LookaheadAdvice {
     /// beyond the plan's static lookahead (always safe); use
     /// `Some(SimDuration::MAX)` for "cannot export at all right now".
     pub out_lookahead: Option<SimDuration>,
-    /// Earliest virtual instant at which the claim may stop holding —
-    /// typically the next fault event that can bring a cut link back up
-    /// (see `FaultPlan::link_change_times` in `mgrid-faults`). `None`
-    /// means the claim holds forever. The engine never lets any shard's
-    /// window cross the earliest published floor, so advice is always
-    /// re-sampled before it could go stale.
+    /// Earliest virtual instant at which the claim may stop holding.
+    /// `None` means the claim holds forever. The engine never lets any
+    /// shard's window cross the earliest published floor, so advice is
+    /// always re-sampled before it could go stale.
     pub valid_until: Option<SimTime>,
 }
 
@@ -436,12 +305,6 @@ struct Exchange<M> {
     /// Shard-windows that executed events / were idle-parked.
     windows_run: AtomicU64,
     windows_idle: AtomicU64,
-    /// Per-round log (only with [`ShardPlan::with_epoch_log`]); set
-    /// exactly once, after the epoch loop, by the worker owning shard 0
-    /// — the verdict bank is identical on every worker, so one recorder
-    /// suffices and a write-once cell (no lock) is all it takes. Read by
-    /// the caller after the worker joins.
-    epoch_log: std::sync::OnceLock<Vec<EpochRecord>>,
 }
 
 impl<M> Exchange<M> {
@@ -460,24 +323,8 @@ impl<M> Exchange<M> {
             epochs: AtomicU64::new(0),
             windows_run: AtomicU64::new(0),
             windows_idle: AtomicU64::new(0),
-            epoch_log: std::sync::OnceLock::new(),
         }
     }
-}
-
-/// One barrier round of a sharded run, as logged by
-/// [`ShardPlan::with_epoch_log`]: the per-shard horizons granted by the
-/// verdict and whether each shard had events to execute before its
-/// horizon. The Perfetto exporter turns consecutive records into
-/// run/idle slices on per-shard lanes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EpochRecord {
-    /// Per-shard exclusive horizon in nanoseconds (`u64::MAX` when a
-    /// shard was unbounded this round).
-    pub horizons: Vec<u64>,
-    /// Per-shard: true when the shard had activity before its horizon
-    /// (the window executed rather than idle-parked).
-    pub ran: Vec<bool>,
 }
 
 /// Where a sharded run spent its barrier rounds; see
@@ -494,9 +341,6 @@ pub struct EpochStats {
     /// horizon: the shard parked on the barrier without its executor
     /// being polled at all.
     pub windows_idle: u64,
-    /// Per-round horizon/activity log; empty unless the plan asked for
-    /// it via [`ShardPlan::with_epoch_log`].
-    pub records: Vec<EpochRecord>,
 }
 
 /// One round's outcome, identical on every worker.
@@ -516,11 +360,11 @@ enum Verdict {
 /// it this round (`arrivals`) — and is relaxed to the fixpoint of
 ///
 /// ```text
-/// act[d] = min(act[d], min over s≠d of act[s] + L(s, d))
+/// act[d] = min(act[d], min over s≠d of act[s] + L(s))
 /// ```
 ///
-/// where `L(s, d)` is the static per-pair lookahead widened by `s`'s
-/// adaptive advice. The fixpoint accounts for *transitive* wake-ups: an
+/// where `L(s)` is the plan's lookahead widened by `s`'s adaptive
+/// advice. The fixpoint accounts for *transitive* wake-ups: an
 /// idle shard is bounded not at infinity but at the cheapest chain of
 /// cross-shard messages that could still reach it. Shard `d`'s horizon
 /// then excludes `d`'s own activity — its own events cannot produce
@@ -556,9 +400,10 @@ fn compute_verdict(
         // exactly as `Simulation::run` leaves blocked tasks pending.
         return Verdict::Stop;
     }
-    // Both the static pair bound and the advice are lower bounds on
+    // Both the static bound and the advice are lower bounds on
     // arrival − send, so their max is one too.
-    let l_eff = |s: usize, d: usize| plan.pair_lookahead_ns(s, d).max(out_la[s]);
+    let la = plan.lookahead.as_nanos();
+    let l_eff = |s: usize| la.max(out_la[s]);
     // Relax to the fixpoint; n sweeps suffice (a lowering chain visits
     // each shard at most once — going around a cycle only adds latency).
     for _ in 0..n {
@@ -568,7 +413,7 @@ fn compute_verdict(
                 if s == d {
                     continue;
                 }
-                let via = act[s].saturating_add(l_eff(s, d));
+                let via = act[s].saturating_add(l_eff(s));
                 if via < act[d] {
                     act[d] = via;
                     changed = true;
@@ -585,7 +430,7 @@ fn compute_verdict(
         .map(|d| {
             let h = (0..n)
                 .filter(|&s| s != d)
-                .map(|s| act[s].saturating_add(l_eff(s, d)))
+                .map(|s| act[s].saturating_add(l_eff(s)))
                 .min()
                 .unwrap_or(u64::MAX);
             h.min(clamp)
@@ -682,10 +527,7 @@ where
         return (vec![(run.finish)(run.sim)], EpochStats::default());
     }
 
-    let workers = plan
-        .shards
-        .min(plan.max_workers)
-        .min(default_workers().max(1));
+    let workers = plan.shards.min(default_workers().max(1));
     let exchange = Exchange::<M>::new(plan.shards, workers);
 
     // Hand each worker its statically-assigned factories (shard s runs
@@ -751,7 +593,6 @@ where
         windows_run: exchange.windows_run.load(Ordering::Relaxed),
         // ORDERING: Relaxed — same join-synchronized read as above.
         windows_idle: exchange.windows_idle.load(Ordering::Relaxed),
-        records: exchange.epoch_log.get().cloned().unwrap_or_default(),
     };
     let out = results
         .into_inner()
@@ -799,10 +640,6 @@ where
 
     let mut rounds: u64 = 0;
     let (mut wrun, mut widle) = (0u64, 0u64);
-    // One worker (the owner of shard 0) keeps the per-round epoch log;
-    // the verdict bank it reads is identical on every worker.
-    let recorder = plan.log_epochs && shards.iter().any(|(s, _)| *s == 0);
-    let mut epoch_log: Vec<EpochRecord> = Vec::new();
     loop {
         let parity = (rounds % 2) as usize;
         rounds += 1;
@@ -890,17 +727,6 @@ where
         match compute_verdict(plan, &mins, &arrivals, &done, &out_la, &floors) {
             Verdict::Stop => break,
             Verdict::Run(horizons) => {
-                if recorder {
-                    // A shard's window executes iff it has activity —
-                    // published local minimum or an import in flight —
-                    // before its horizon; all three are in the bank.
-                    epoch_log.push(EpochRecord {
-                        ran: (0..n)
-                            .map(|d| mins[d].min(arrivals[d]) < horizons[d])
-                            .collect(),
-                        horizons: horizons.clone(),
-                    });
-                }
                 for (d, st) in &mut shards {
                     // Absorb every import published to this shard (the
                     // banks must be empty again before their next use).
@@ -936,24 +762,15 @@ where
     exchange.windows_run.fetch_add(wrun, Ordering::Relaxed);
     // ORDERING: Relaxed — see `epochs` above.
     exchange.windows_idle.fetch_add(widle, Ordering::Relaxed);
-    if recorder {
-        exchange
-            .epoch_log
-            .set(epoch_log)
-            .expect("recorder sets the epoch log exactly once");
-    }
     Some(shards)
 }
 
-/// Run independent jobs on the sharded engine's worker pool and return
-/// their results in submission order.
+/// Run independent jobs on a worker pool and return their results in
+/// submission order.
 ///
-/// This is [`run_sharded`] with the degenerate edge-free plan: each job
-/// is a logical process with no mailboxes, so every job runs to
-/// completion in one epoch. Jobs are claimed dynamically (a lock-free
-/// ticket counter) for load balance; since they are mutually
-/// independent and individually deterministic, placement cannot affect
-/// any result.
+/// Jobs are claimed dynamically (a lock-free ticket counter) for load
+/// balance; since they are mutually independent and individually
+/// deterministic, placement cannot affect any result.
 ///
 /// The pool is clamped to the machine's available parallelism:
 /// oversubscribing adds scheduler churn without any win (it showed up
@@ -1003,7 +820,7 @@ where
 }
 
 /// The machine's available parallelism (1 if it cannot be determined).
-/// Callers that honour `MGRID_SHARDS` clamp to this.
+/// [`run_jobs`] and [`run_sharded`] clamp their pools to this.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -1019,7 +836,7 @@ mod tests {
     /// forwarding a counter to its right neighbour with 5 ms latency
     /// until the counter reaches `rounds`. Returns, per shard, the list
     /// of (arrival_ns, value) pairs it observed.
-    fn ring_with(plan: ShardPlan, shards: usize, rounds: u64) -> Vec<Vec<(u64, u64)>> {
+    fn ring(shards: usize, rounds: u64) -> Vec<Vec<(u64, u64)>> {
         let la = SimDuration::from_millis(5);
         let factories: Vec<_> = (0..shards)
             .map(|_| {
@@ -1070,12 +887,7 @@ mod tests {
                     as Box<dyn FnOnce(ShardHandle<u64>) -> ShardRun<u64, Vec<(u64, u64)>> + Send>
             })
             .collect();
-        run_sharded(plan, factories)
-    }
-
-    fn ring(shards: usize, rounds: u64) -> Vec<Vec<(u64, u64)>> {
-        let plan = ShardPlan::connected(shards, SimDuration::from_millis(5));
-        ring_with(plan, shards, rounds)
+        run_sharded(ShardPlan::connected(shards, la), factories)
     }
 
     #[test]
@@ -1106,28 +918,6 @@ mod tests {
         let two = merged(2);
         assert_eq!(two, merged(3));
         assert_eq!(two, merged(4));
-    }
-
-    #[test]
-    fn per_pair_matrix_preserves_the_merged_log() {
-        // The ring only exports forward, so a matrix that marks every
-        // non-neighbour pair edge-free (and backward edges slow) must
-        // not change a single arrival.
-        let la = SimDuration::from_millis(5);
-        let n = 3;
-        let matrix: Vec<Vec<Option<SimDuration>>> = (0..n)
-            .map(|s| {
-                (0..n)
-                    .map(|d| if d == (s + 1) % n { Some(la) } else { None })
-                    .collect()
-            })
-            .collect();
-        let plan = ShardPlan::connected(n, la).with_lookahead_matrix(matrix);
-        let mut with_matrix: Vec<_> = ring_with(plan, n, 12).iter().flatten().copied().collect();
-        with_matrix.sort_unstable();
-        let mut plain: Vec<_> = ring(n, 12).iter().flatten().copied().collect();
-        plain.sort_unstable();
-        assert_eq!(with_matrix, plain);
     }
 
     #[test]
@@ -1252,22 +1042,6 @@ mod tests {
             &[10, u64::MAX],
         );
         assert_eq!(v, Verdict::Run(vec![11, 11]));
-    }
-
-    #[test]
-    fn pair_matrix_is_consulted_per_edge() {
-        let la = SimDuration::from_nanos(10);
-        let plan = ShardPlan::connected(3, la).with_lookahead_matrix(vec![
-            vec![None, Some(SimDuration::from_nanos(10)), None],
-            vec![Some(SimDuration::from_nanos(25)), None, Some(la)],
-            vec![None, Some(la), None],
-        ]);
-        assert_eq!(plan.pair_lookahead_ns(0, 1), 10);
-        assert_eq!(plan.pair_lookahead_ns(1, 0), 25);
-        assert_eq!(plan.pair_lookahead_ns(0, 2), u64::MAX);
-        // Without a matrix every pair falls back to the global value.
-        let plain = ShardPlan::connected(3, la);
-        assert_eq!(plain.pair_lookahead_ns(0, 2), 10);
     }
 
     #[test]

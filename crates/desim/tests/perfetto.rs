@@ -11,7 +11,6 @@
 //! crate, and the exporter hand-rolls its output, so the test must not
 //! trust the code under test to validate itself.
 
-use mgrid_desim::shard::EpochRecord;
 use mgrid_desim::time::SimDuration;
 use mgrid_desim::{obs, perfetto, sleep, spawn, Category, Simulation};
 
@@ -55,18 +54,7 @@ fn small_export() -> String {
         });
         sleep(SimDuration::from_micros(300)).await;
     });
-    let snap = sim.obs().spans().snapshot();
-    let epochs = vec![
-        EpochRecord {
-            horizons: vec![100_000, 100_000],
-            ran: vec![true, false],
-        },
-        EpochRecord {
-            horizons: vec![200_000, 200_000],
-            ran: vec![true, true],
-        },
-    ];
-    perfetto::export(&snap, &epochs)
+    perfetto::export(&sim.obs().spans().snapshot())
 }
 
 #[test]

@@ -285,117 +285,6 @@ impl FaultPlan {
         evs.sort_by_key(|e| e.at);
         evs
     }
-
-    /// Round every event time **up** to the next multiple of `epoch`,
-    /// for sharded runs (see `docs/PARALLEL.md`).
-    ///
-    /// Under the sharded engine each logical process carries a full
-    /// replica of the plan and injects it locally. Aligning injection
-    /// times to the conservative barrier epochs guarantees a fault never
-    /// lands inside an epoch window some shard has already committed:
-    /// every replica observes the state change at the same barrier, so
-    /// the sharded timeline matches the sequential one event for event.
-    /// Events already on a boundary (including `at == 0`) are unchanged;
-    /// relative order within the plan is preserved because rounding up
-    /// is monotone.
-    ///
-    /// ```
-    /// use mgrid_desim::time::SimDuration;
-    /// use mgrid_faults::{FaultKind, FaultPlan};
-    ///
-    /// let plan = FaultPlan::new().at(
-    ///     SimDuration::from_millis(7),
-    ///     FaultKind::HostCrash { host: "n0".into() },
-    /// );
-    /// let aligned = plan.align_to_epochs(SimDuration::from_millis(5));
-    /// assert_eq!(aligned.events[0].at, SimDuration::from_millis(10));
-    /// ```
-    #[must_use]
-    pub fn align_to_epochs(&self, epoch: SimDuration) -> FaultPlan {
-        let step = epoch.as_nanos().max(1);
-        let events = self
-            .events
-            .iter()
-            .map(|ev| {
-                let ns = ev.at.as_nanos();
-                let aligned = ns.div_ceil(step) * step;
-                FaultEvent {
-                    at: SimDuration::from_nanos(aligned),
-                    kind: ev.kind.clone(),
-                }
-            })
-            .collect();
-        FaultPlan { events }
-    }
-
-    /// The instants at which this plan changes link *connectivity*
-    /// (`LinkDown` / `LinkUp` / `Partition` / `HealPartition`), sorted
-    /// and deduplicated.
-    ///
-    /// These are exactly the instants at which a shard's adaptive
-    /// lookahead claim can stop holding: a replica publishing advice
-    /// from the live cut state (`Network::outgoing_cut_lookahead` in
-    /// `mgrid-netsim`) uses the next entry after its current time as the
-    /// advice's `valid_until` floor. The event-driven engine never lets
-    /// any window cross the earliest published floor, so every replica
-    /// re-samples its claim before a connectivity change could
-    /// invalidate it — no fixed-stride alignment of the plan required.
-    /// Impairment-only events (loss, corruption, reordering, host
-    /// faults) don't move packets across the cut any faster and are not
-    /// floors.
-    pub fn link_change_times(&self) -> Vec<SimDuration> {
-        let mut times: Vec<SimDuration> = self
-            .events
-            .iter()
-            .filter(|ev| {
-                matches!(
-                    ev.kind,
-                    FaultKind::LinkDown { .. }
-                        | FaultKind::LinkUp { .. }
-                        | FaultKind::Partition { .. }
-                        | FaultKind::HealPartition { .. }
-                )
-            })
-            .map(|ev| ev.at)
-            .collect();
-        times.sort_unstable();
-        times.dedup();
-        times
-    }
-
-    /// Round every event time **up** to the next floor in `floors` (a
-    /// sorted list of synchronization instants); events past the last
-    /// floor are left unchanged.
-    ///
-    /// This generalizes [`FaultPlan::align_to_epochs`] to the
-    /// event-driven engine, whose barriers land at event-driven instants
-    /// rather than on a fixed stride: when a run derives its windows
-    /// from dynamic floors (advice `valid_until` values, checkpoint
-    /// schedules), aligning the plan to those same floors guarantees no
-    /// shard has committed a window past a fault before it fires.
-    /// Aligning to the plan's own [`FaultPlan::link_change_times`] is a
-    /// no-op — every connectivity event already sits on its own floor —
-    /// which is why sharded runs can inject scripted faults at their
-    /// exact times.
-    #[must_use]
-    pub fn align_to_floors(&self, floors: &[SimDuration]) -> FaultPlan {
-        let events = self
-            .events
-            .iter()
-            .map(|ev| {
-                let at = floors
-                    .iter()
-                    .copied()
-                    .find(|&f| f >= ev.at)
-                    .unwrap_or(ev.at);
-                FaultEvent {
-                    at,
-                    kind: ev.kind.clone(),
-                }
-            })
-            .collect();
-        FaultPlan { events }
-    }
 }
 
 type Subscriber = Box<dyn Fn(&FaultKind)>;
@@ -469,13 +358,6 @@ mod tests {
 
     fn down(a: &str, b: &str) -> FaultKind {
         FaultKind::LinkDown {
-            a: a.into(),
-            b: b.into(),
-        }
-    }
-
-    fn up(a: &str, b: &str) -> FaultKind {
-        FaultKind::LinkUp {
             a: a.into(),
             b: b.into(),
         }
@@ -582,76 +464,6 @@ mod tests {
             now()
         });
         assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn epoch_alignment_rounds_up_and_keeps_order() {
-        let ms = SimDuration::from_millis;
-        let plan = FaultPlan::new()
-            .at(ms(0), down("a", "b"))
-            .at(ms(7), down("c", "d"))
-            .at(ms(10), down("e", "f"))
-            .at(ms(11), FaultKind::HostCrash { host: "h".into() });
-        let aligned = plan.align_to_epochs(ms(5));
-        let ats: Vec<_> = aligned.events.iter().map(|e| e.at).collect();
-        assert_eq!(ats, vec![ms(0), ms(10), ms(10), ms(15)]);
-        // Kinds travel with their events.
-        assert_eq!(aligned.events[3].kind.name(), "host_crash");
-        // Idempotent: aligning twice changes nothing.
-        assert_eq!(aligned.align_to_epochs(ms(5)), aligned);
-        // A zero epoch is inert rather than a division by zero.
-        assert_eq!(plan.align_to_epochs(SimDuration::from_nanos(0)), plan);
-    }
-
-    #[test]
-    fn link_change_times_cover_connectivity_only() {
-        let ms = SimDuration::from_millis;
-        let plan = FaultPlan::new()
-            .at(ms(30), up("a", "b"))
-            .at(ms(10), down("a", "b"))
-            .at(
-                ms(20),
-                FaultKind::LinkLoss {
-                    a: "a".into(),
-                    b: "b".into(),
-                    per_mille: 100,
-                },
-            )
-            .at(ms(10), FaultKind::HostCrash { host: "h".into() })
-            .at(
-                ms(10),
-                FaultKind::Partition {
-                    side_a: vec!["a".into()],
-                    side_b: vec!["b".into()],
-                },
-            );
-        // Sorted, deduplicated, and only the connectivity kinds: loss
-        // and host faults never widen what can cross the cut.
-        assert_eq!(plan.link_change_times(), vec![ms(10), ms(30)]);
-        assert!(FaultPlan::new().link_change_times().is_empty());
-    }
-
-    #[test]
-    fn floor_alignment_rounds_up_to_the_next_floor() {
-        let ms = SimDuration::from_millis;
-        let plan = FaultPlan::new()
-            .at(ms(7), down("a", "b"))
-            .at(ms(12), up("a", "b"))
-            .at(ms(40), down("c", "d"));
-        let floors = [ms(10), ms(12), ms(25)];
-        let ats: Vec<_> = plan
-            .align_to_floors(&floors)
-            .events
-            .iter()
-            .map(|e| e.at)
-            .collect();
-        // 7 → 10; 12 is already a floor; 40 is past the last floor and
-        // stays put.
-        assert_eq!(ats, vec![ms(10), ms(12), ms(40)]);
-        // Aligning a plan to its own connectivity instants is a no-op:
-        // every event already sits on its own floor.
-        let own = plan.link_change_times();
-        assert_eq!(plan.align_to_floors(&own), plan);
     }
 
     #[test]

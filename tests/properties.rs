@@ -1,20 +1,12 @@
 //! Property-based tests over the core data structures and invariants.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use proptest::prelude::*;
 
-use microgrid::desim::shard::{
-    run_sharded, Import, LookaheadAdvice, ShardHandle, ShardPlan, ShardRun,
-};
 use microgrid::desim::time::{SimDuration, SimTime};
 use microgrid::desim::vclock::VirtualClock;
-use microgrid::desim::{now, sleep, sleep_until, spawn, FxHashSet, Simulation};
+use microgrid::desim::{sleep, Simulation};
 use microgrid::gis::{Dn, Filter, Record};
-use microgrid::netsim::{
-    LinkSpec, NetParams, Network, NodeId, Packet, Payload, Topology, TopologyBuilder,
-};
+use microgrid::netsim::{LinkSpec, NodeId, Topology, TopologyBuilder};
 
 proptest! {
     /// SimTime/SimDuration arithmetic: (t + d) - t == d for all in-range
@@ -356,257 +348,4 @@ fn sharded_job_pool_is_byte_identical_to_sequential() {
     // constant.
     let distinct: std::collections::BTreeSet<&String> = inline.iter().collect();
     assert_eq!(distinct.len(), CASES.len(), "scenario digests collide");
-}
-
-// --- Sharded-engine property: random chain grids match sequential -----
-//
-// Random chain-of-sites topologies, split one site per shard, must
-// deliver exactly what the sequential engine delivers — with and without
-// a scripted WAN outage, and with live adaptive-lookahead advice wired
-// through `Network::outgoing_cut_lookahead`. This is the event-driven
-// engine's core contract (docs/PARALLEL.md): shard count and lookahead
-// advice move only the wall clock, never a byte of output.
-
-/// One delivery at a receiving host: (arrival ns, receiver site, value).
-type ChainLog = Vec<(u64, u32, u32)>;
-
-/// A shard-crossing message: the packet plus the node it arrives at.
-type ChainCross = (NodeId, Packet);
-
-const CHAIN_MSGS: u32 = 2;
-const CHAIN_BYTES: u64 = 20_000;
-/// Scripted outage window on the first WAN hop (virtual ns) — instants
-/// every replica knows, so the fault is applied identically everywhere.
-const CHAIN_DOWN_NS: u64 = 50_000_000;
-const CHAIN_UP_NS: u64 = 180_000_000;
-
-/// `sites` LAN islands (host `h{i}` behind router `r{i}`) joined in a
-/// chain by WAN hops `r{i}`–`r{i+1}` with per-hop delays `wan_ms`.
-fn build_chain(sites: usize, wan_ms: &[u64]) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-    let mut b = TopologyBuilder::new();
-    let hosts: Vec<NodeId> = (0..sites).map(|i| b.host(format!("h{i}"))).collect();
-    let routers: Vec<NodeId> = (0..sites).map(|i| b.router(format!("r{i}"))).collect();
-    for i in 0..sites {
-        b.link(
-            hosts[i],
-            routers[i],
-            LinkSpec::new(100e6, SimDuration::from_micros(50)),
-        );
-    }
-    for i in 0..sites - 1 {
-        b.link(
-            routers[i],
-            routers[i + 1],
-            LinkSpec::new(45e6, SimDuration::from_millis(wan_ms[i])),
-        );
-    }
-    (b.build(), hosts, routers)
-}
-
-/// Spawn the scripted outage into the current simulation: both
-/// directions of the `r0`–`r1` WAN hop down during
-/// `[CHAIN_DOWN_NS, CHAIN_UP_NS)`.
-fn spawn_chain_outage(net: &Network) {
-    let net = net.clone();
-    spawn(async move {
-        let wan = {
-            let topo = net.topology();
-            let r0 = topo.node_by_name("r0").unwrap();
-            let r1 = topo.node_by_name("r1").unwrap();
-            topo.links_between(r0, r1)
-        };
-        sleep_until(SimTime::from_nanos(CHAIN_DOWN_NS)).await;
-        for l in &wan {
-            net.set_link_down(*l, true);
-        }
-        sleep_until(SimTime::from_nanos(CHAIN_UP_NS)).await;
-        for l in &wan {
-            net.set_link_down(*l, false);
-        }
-    });
-}
-
-/// One replica of the chain grid. With `split` it simulates only site
-/// `s` (exporting cut-crossing packets and publishing adaptive lookahead
-/// from its live fault state); without, it runs every site inline — the
-/// sequential reference.
-fn chain_shard_factory(
-    s: usize,
-    sites: usize,
-    wan_ms: Vec<u64>,
-    seed: u64,
-    faults: bool,
-    split: bool,
-    h: ShardHandle<ChainCross>,
-) -> ShardRun<ChainCross, ChainLog> {
-    let sim = Simulation::new(seed);
-    let log: Rc<RefCell<ChainLog>> = Rc::new(RefCell::new(Vec::new()));
-    let net_slot: Rc<RefCell<Option<Network>>> = Rc::new(RefCell::new(None));
-    let log2 = log.clone();
-    let net_slot2 = net_slot.clone();
-    let net_slot3 = net_slot.clone();
-    let root = sim.spawn(async move {
-        let (topo, hosts, routers) = build_chain(sites, &wan_ms);
-        let net = Network::new(topo, VirtualClock::identity(), NetParams::default());
-        net.set_transfer_namespace(s as u64);
-        if faults {
-            spawn_chain_outage(&net);
-        }
-        if split {
-            let owned: FxHashSet<NodeId> = [hosts[s], routers[s]].into_iter().collect();
-            let hs = hosts.clone();
-            let rs = routers.clone();
-            net.set_shard_ownership(
-                owned,
-                Box::new(move |node, at, pkt| {
-                    let to = hs
-                        .iter()
-                        .position(|&x| x == node)
-                        .or_else(|| rs.iter().position(|&x| x == node))
-                        .expect("cross-shard packets land on grid nodes");
-                    h.export(to, at, (node, pkt));
-                }),
-            );
-        }
-        *net_slot2.borrow_mut() = Some(net.clone());
-        let owned_sites: Vec<usize> = if split { vec![s] } else { (0..sites).collect() };
-        let mut waits = Vec::new();
-        for site in owned_sites {
-            let rx = net.endpoint(hosts[site]).bind(7);
-            let log = log2.clone();
-            waits.push(spawn(async move {
-                for _ in 0..CHAIN_MSGS {
-                    let m = rx.recv().await.unwrap();
-                    log.borrow_mut().push((
-                        now().as_nanos(),
-                        site as u32,
-                        *m.payload.downcast_ref::<u32>().unwrap(),
-                    ));
-                }
-            }));
-            let tx = net.endpoint(hosts[site]);
-            let dest = hosts[(site + 1) % sites];
-            waits.push(spawn(async move {
-                for k in 0..CHAIN_MSGS {
-                    tx.send(
-                        dest,
-                        7,
-                        1,
-                        CHAIN_BYTES,
-                        Payload::new((site as u32) * 16 + k),
-                    )
-                    .await
-                    .unwrap();
-                }
-            }));
-        }
-        for w in waits {
-            w.await;
-        }
-    });
-    ShardRun {
-        sim,
-        deliver: Box::new(move |sim, imp: Import<ChainCross>| {
-            let net = net_slot
-                .borrow()
-                .clone()
-                .expect("replica built in the first epoch");
-            sim.spawn(async move {
-                sleep_until(imp.time).await;
-                let (node, pkt) = imp.msg;
-                net.inject_arrival(node, pkt);
-            });
-        }),
-        root_done: Box::new(move || root.is_finished()),
-        advise: if split {
-            Some(Box::new(move |at| {
-                let Some(net) = net_slot3.borrow().clone() else {
-                    // Replica not built yet: claim nothing beyond the plan.
-                    return LookaheadAdvice::default();
-                };
-                // Node names are `h{site}` / `r{site}`, so the site index
-                // is the name's suffix.
-                let group = |n: NodeId| {
-                    let topo = net.topology();
-                    topo.node_name(n)[1..].parse::<usize>().unwrap()
-                };
-                let out = net
-                    .outgoing_cut_lookahead(group, s)
-                    // No usable outgoing cut link: cannot export at all.
-                    .unwrap_or(SimDuration::MAX);
-                let valid_until = if faults {
-                    [CHAIN_DOWN_NS, CHAIN_UP_NS]
-                        .into_iter()
-                        .find(|&t| t > at.as_nanos())
-                        .map(SimTime::from_nanos)
-                } else {
-                    None
-                };
-                LookaheadAdvice {
-                    out_lookahead: Some(out),
-                    valid_until,
-                }
-            }))
-        } else {
-            None
-        },
-        finish: Box::new(move |_| log.borrow().clone()),
-    }
-}
-
-/// Run the chain grid either sequentially (one shard, every site) or
-/// split one-site-per-shard with the per-pair lookahead matrix of the
-/// chain's WAN hops, and return the merged delivery log in canonical
-/// order.
-fn run_chain(split: bool, sites: usize, wan_ms: &[u64], seed: u64, faults: bool) -> ChainLog {
-    let min_wan = SimDuration::from_millis(*wan_ms.iter().min().unwrap());
-    let shards = if split { sites } else { 1 };
-    let mut plan = ShardPlan::connected(shards, min_wan);
-    if split {
-        // Adjacent sites see their own hop's delay; non-adjacent pairs
-        // have no direct link, so the engine treats them as unreachable
-        // in one hop (`None`).
-        let mut matrix = vec![vec![None; sites]; sites];
-        for (i, &ms) in wan_ms.iter().enumerate() {
-            let d = Some(SimDuration::from_millis(ms));
-            matrix[i][i + 1] = d;
-            matrix[i + 1][i] = d;
-        }
-        plan = plan.with_lookahead_matrix(matrix);
-    }
-    let factories: Vec<_> = (0..shards)
-        .map(|s| {
-            let wans = wan_ms.to_vec();
-            Box::new(move |h| chain_shard_factory(s, sites, wans, seed, faults, split, h))
-                as Box<dyn FnOnce(ShardHandle<ChainCross>) -> ShardRun<ChainCross, ChainLog> + Send>
-        })
-        .collect();
-    let mut merged: ChainLog = run_sharded(plan, factories).concat();
-    merged.sort_unstable();
-    merged
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Random small chain grids (2–4 sites, random WAN delays, random
-    /// seeds, scripted outage on or off), split one site per shard, are
-    /// byte-identical to the one-shard sequential run.
-    #[test]
-    fn sharded_chain_grid_matches_sequential(
-        sites in 2usize..5,
-        wan_ms in prop::collection::vec(5u64..30, 3..4),
-        seed in 1u64..1_000,
-        faults in any::<bool>(),
-    ) {
-        let wans = &wan_ms[..sites - 1];
-        let seq = run_chain(false, sites, wans, seed, faults);
-        prop_assert_eq!(
-            seq.len(),
-            sites * CHAIN_MSGS as usize,
-            "reference must deliver everything"
-        );
-        let par = run_chain(true, sites, wans, seed, faults);
-        prop_assert_eq!(par, seq);
-    }
 }
